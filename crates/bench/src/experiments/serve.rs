@@ -2,7 +2,7 @@
 //! injection, deadlines, and a bounded queue small enough to shed.
 //!
 //! Not a paper figure — this tracks the daemon substrate. An in-process
-//! server is hammered by a client fleet whose request mix covers all
+//! server is hammered by a pool of clients whose request mix covers all
 //! three work operations, several campaign shapes (so coalescing and the
 //! queue both get exercise), and a sprinkling of hopeless 1 ms deadlines.
 //! Every request must reach a terminal outcome — `ok`, `partial`,
@@ -85,7 +85,7 @@ pub fn run(options: &Options) -> String {
     let outcomes: Arc<Mutex<BTreeMap<String, usize>>> = Arc::default();
     let latencies_ms: Arc<Mutex<Vec<f64>>> = Arc::default();
     let started = Instant::now();
-    let fleet: Vec<_> = (0..clients)
+    let client_threads: Vec<_> = (0..clients)
         .map(|c| {
             let (addr, mix) = (addr.clone(), Arc::clone(&mix));
             let (outcomes, latencies_ms) = (Arc::clone(&outcomes), Arc::clone(&latencies_ms));
@@ -119,8 +119,8 @@ pub fn run(options: &Options) -> String {
             })
         })
         .collect();
-    for worker in fleet {
-        worker.join().expect("client fleet must not panic");
+    for worker in client_threads {
+        worker.join().expect("client threads must not panic");
     }
     let wall_s = started.elapsed().as_secs_f64();
 

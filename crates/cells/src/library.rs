@@ -184,7 +184,10 @@ impl Library {
     /// library — a cell added, a delay retuned, an aging sensitivity
     /// adjusted — produces a different hash, so artifacts derived from the
     /// library (e.g. the characterization cache) can be content-addressed
-    /// against it. FNV-1a, stable across platforms and runs.
+    /// against it. FNV-1a, stable across platforms and runs: the same
+    /// function as `aix_obs::fnv1a`, spelled out here because `aix-cells`
+    /// depends on nothing but `aix-aging`; `tests/hash_pins.rs` pins the
+    /// value.
     pub fn content_hash(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

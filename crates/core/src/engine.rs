@@ -81,6 +81,7 @@ use aix_arith::ComponentSpec;
 use aix_cells::Library;
 use aix_faults::{FaultPlan, FaultStage};
 use aix_netlist::Netlist;
+use aix_obs::{fnv1a, FNV_OFFSET};
 use aix_sta::{analyze, NetDelays};
 use aix_synth::Effort;
 use std::collections::{BTreeMap, HashMap};
@@ -262,7 +263,7 @@ impl EngineOptions {
 
 /// What [`FaultPlan`] values are expected to look like, for diagnostics.
 pub const FAULT_GRAMMAR: &str = "`mode[:p=F,seed=N,stage=synth|sta|cache|serve|import,ms=N]` specs \
-     (mode panic|io|delay|shortwrite|enospc|stall|connrefused), `;`-separated";
+     (mode panic|io|delay|shortwrite|enospc), `;`-separated";
 
 /// Parses a worker-count value (`AIX_JOBS` / `--jobs`): a positive
 /// integer.
@@ -830,10 +831,10 @@ impl CharacterizationEngine {
         effort: Effort,
     ) -> u64 {
         let mut hash = self.fingerprint_base;
-        fnv_eat(&mut hash, kind.label().as_bytes());
-        fnv_eat(&mut hash, &(width as u64).to_le_bytes());
-        fnv_eat(&mut hash, &(precision as u64).to_le_bytes());
-        fnv_eat(&mut hash, effort.token().as_bytes());
+        hash = fnv1a(hash, kind.label().as_bytes());
+        hash = fnv1a(hash, &(width as u64).to_le_bytes());
+        hash = fnv1a(hash, &(precision as u64).to_le_bytes());
+        hash = fnv1a(hash, effort.token().as_bytes());
         hash
     }
 
@@ -880,12 +881,15 @@ impl CharacterizationEngine {
         // event: all events outside the worker pools are emitted from
         // sequential code, so a warm (all-hit) run's trace is byte-identical
         // for any `--jobs` value.
-        let campaign_span = aix_obs::span!("campaign", configs = configs.len());
+        let campaign_span = aix_obs::span!(
+            aix_obs::names::engine::SPAN_CAMPAIGN,
+            configs = configs.len()
+        );
 
         // Plan: one synthesis job per (config, precision), probing the
         // on-disk cache. A hit must cover every requested scenario.
         let plan_start = Instant::now();
-        let plan_span = aix_obs::span!("plan");
+        let plan_span = aix_obs::span!(aix_obs::names::engine::SPAN_PLAN);
         let config_tokens: Vec<Vec<String>> = configs
             .iter()
             .map(|config| {
@@ -920,9 +924,9 @@ impl CharacterizationEngine {
             for &precision in &config.precisions {
                 let fingerprint =
                     self.fingerprint(config.kind, config.width, precision, config.effort);
-                fnv_eat(&mut campaign_fp, &fingerprint.to_le_bytes());
+                campaign_fp = fnv1a(campaign_fp, &fingerprint.to_le_bytes());
                 for token in tokens {
-                    fnv_eat(&mut campaign_fp, token.as_bytes());
+                    campaign_fp = fnv1a(campaign_fp, token.as_bytes());
                 }
                 let site = format!(
                     "{}-w{}-p{}-{}",
@@ -946,10 +950,10 @@ impl CharacterizationEngine {
                 if cache_path.is_some() {
                     if hit {
                         report.cache_hits += 1;
-                        aix_obs::count!("cache_hit", job = &site);
+                        aix_obs::count!(aix_obs::names::engine::CACHE_HIT, job = &site);
                     } else {
                         report.cache_misses += 1;
-                        aix_obs::count!("cache_miss", job = &site);
+                        aix_obs::count!(aix_obs::names::engine::CACHE_MISS, job = &site);
                     }
                 }
                 plan.push(SynthJob {
@@ -986,14 +990,17 @@ impl CharacterizationEngine {
                     job.hit = true;
                     job.journal_hit = true;
                     report.journal_hits += 1;
-                    aix_obs::count!("journal_hit", job = &job.site);
+                    aix_obs::count!(aix_obs::names::engine::JOURNAL_HIT, job = &job.site);
                 }
             }
             journal.record_plan(plan.len());
         }
         report.plan_ms = elapsed_ms(plan_start);
         plan_span.close();
-        aix_obs::gauge!("synth_planned", report.synth_planned as f64);
+        aix_obs::gauge!(
+            aix_obs::names::engine::SYNTH_PLANNED,
+            report.synth_planned as f64
+        );
 
         // Synthesis stage: pool over the misses, each job under the guard.
         // Results keep plan order, so failures are deterministic under any
@@ -1006,7 +1013,10 @@ impl CharacterizationEngine {
             .map(|(index, _)| index)
             .collect();
         report.synth_executed = to_synthesize.len();
-        let synth_span = aix_obs::span!("synth_stage", executed = report.synth_executed);
+        let synth_span = aix_obs::span!(
+            aix_obs::names::engine::SPAN_SYNTH_STAGE,
+            executed = report.synth_executed
+        );
         let guard = self.guard();
         let synthesized_list = parallel_map(jobs, to_synthesize, |index| {
             let job = &plan[index];
@@ -1014,7 +1024,7 @@ impl CharacterizationEngine {
             let (kind, width, precision, effort) =
                 (config.kind, config.width, job.precision, config.effort);
             let _job_span = aix_obs::span!(
-                "synth",
+                aix_obs::names::engine::SPAN_SYNTH,
                 job = &job.site,
                 kind = config.kind.label(),
                 width = width,
@@ -1056,14 +1066,17 @@ impl CharacterizationEngine {
             })
             .collect();
         report.sta_executed = sta_plan.len();
-        let sta_span = aix_obs::span!("sta_stage", executed = report.sta_executed);
+        let sta_span = aix_obs::span!(
+            aix_obs::names::engine::SPAN_STA_STAGE,
+            executed = report.sta_executed
+        );
         let delays_list = parallel_map(jobs, sta_plan, |(index, scenario_index)| {
             let job = &plan[index];
             let config = &configs[job.config_index];
             let scenario = config.scenarios[scenario_index];
             let site = format!("{}@{}", job.site, config_tokens[job.config_index][scenario_index]);
             let _job_span = aix_obs::span!(
-                "sta",
+                aix_obs::names::engine::SPAN_STA,
                 job = &site,
                 kind = config.kind.label(),
                 width = config.width,
@@ -1124,7 +1137,7 @@ impl CharacterizationEngine {
         // write misses back to the cache and journal (best effort; a
         // read-only directory degrades to cold runs, never to an error).
         let merge_start = Instant::now();
-        let merge_span = aix_obs::span!("merge");
+        let merge_span = aix_obs::span!(aix_obs::names::engine::SPAN_MERGE);
         let mut out: Vec<ComponentCharacterization> = configs
             .iter()
             .map(|c| ComponentCharacterization::new(c.kind, c.width, c.effort))
@@ -1239,18 +1252,8 @@ fn require_complete(campaign: &Campaign) -> Result<(), AixError> {
 /// FNV-1a over the cell library's content hash and the aging calibration
 /// token: the part of every cache fingerprint shared by all jobs.
 fn fingerprint_base(cells: &Library, calibration: &Calibration) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    fnv_eat(&mut hash, &cells.content_hash().to_le_bytes());
-    fnv_eat(&mut hash, calibration.fingerprint_token().as_bytes());
-    hash
-}
-
-fn fnv_eat(hash: &mut u64, bytes: &[u8]) {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &byte in bytes {
-        *hash ^= u64::from(byte);
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
+    let hash = fnv1a(FNV_OFFSET, &cells.content_hash().to_le_bytes());
+    fnv1a(hash, calibration.fingerprint_token().as_bytes())
 }
 
 fn elapsed_ms(start: Instant) -> f64 {

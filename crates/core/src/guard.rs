@@ -158,7 +158,12 @@ impl JobGuard {
                     // other error is structural and retrying cannot help.
                     let transient = matches!(error, AixError::Io { .. });
                     if transient && attempt <= self.retries {
-                        aix_obs::count!("job_retry", site = site, attempt = attempt, cause = "io");
+                        aix_obs::count!(
+                            aix_obs::names::engine::JOB_RETRY,
+                            site = site,
+                            attempt = attempt,
+                            cause = "io"
+                        );
                         self.backoff(site, attempt, &mut prev_backoff);
                         continue;
                     }
@@ -172,7 +177,7 @@ impl JobGuard {
                 Attempt::TimedOut => {
                     if attempt <= self.retries {
                         aix_obs::count!(
-                            "job_retry",
+                            aix_obs::names::engine::JOB_RETRY,
                             site = site,
                             attempt = attempt,
                             cause = "timeout"
@@ -180,7 +185,11 @@ impl JobGuard {
                         self.backoff(site, attempt, &mut prev_backoff);
                         continue;
                     }
-                    aix_obs::count!("job_timeout", site = site, attempts = attempt);
+                    aix_obs::count!(
+                        aix_obs::names::engine::JOB_TIMEOUT,
+                        site = site,
+                        attempts = attempt
+                    );
                     return Err(JobError {
                         reason: format!(
                             "timed out after {:.3} s",
@@ -247,13 +256,8 @@ pub fn decorrelated_backoff_ms(
 }
 
 fn site_hash(site: &str, attempt: usize) -> u64 {
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in site.bytes().chain((attempt as u64).to_le_bytes()) {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    let hash = aix_obs::fnv1a(aix_obs::FNV_OFFSET, site.as_bytes());
+    aix_obs::fnv1a(hash, &(attempt as u64).to_le_bytes())
 }
 
 #[cfg(test)]

@@ -92,7 +92,7 @@ fn design_metrics(
     activity_vectors: usize,
 ) -> Result<DesignMetrics, FlowError> {
     let _span = aix_obs::span!(
-        "design_metrics",
+        aix_obs::names::savings::SPAN_DESIGN_METRICS,
         blocks = blocks.len(),
         vectors = activity_vectors,
     );
@@ -138,7 +138,10 @@ pub fn compare_against_aging_aware(
     scenario: AgingScenario,
     activity_vectors: usize,
 ) -> Result<SavingsReport, FlowError> {
-    let _span = aix_obs::span!("savings_compare", blocks = plan.blocks.len());
+    let _span = aix_obs::span!(
+        aix_obs::names::savings::SPAN_COMPARE,
+        blocks = plan.blocks.len()
+    );
     // Ours: planned precisions at the fresh constraint.
     let mut ours_blocks = Vec::new();
     for block in &plan.blocks {

@@ -10,7 +10,7 @@
 //! plan order, so the outcome is a pure function of the configuration —
 //! independent of job count and cache state.
 
-use crate::candidate::{fnv, Candidate};
+use crate::candidate::Candidate;
 use crate::pareto::{FrontPoint, ParetoFront, Score};
 use crate::score::{build_optimized, score_candidate, ScoreContext};
 use aix_aging::{AgingModel, AgingScenario, Lifetime};
@@ -18,7 +18,7 @@ use aix_cells::Library;
 use aix_core::fsutil::write_atomic;
 use aix_core::{parallel_map, AixError, CampaignStatus, CancelToken, ComponentKind};
 use aix_faults::{FaultPlan, FaultStage};
-use aix_obs::{parse_object, render_object, Value};
+use aix_obs::{fnv1a, parse_object, render_object, Value, FNV_OFFSET};
 use aix_sim::SimEngine;
 use aix_sta::{analyze, NetDelays};
 use std::collections::HashSet;
@@ -323,10 +323,10 @@ pub fn explore(library: &Arc<Library>, config: &ExploreConfig) -> Result<Explore
     };
 
     // Everything that determines a score feeds the cache key context.
-    let mut key = fnv(0, &library.content_hash().to_le_bytes());
-    key = fnv(key, config.scenario.to_string().as_bytes());
-    key = fnv(key, &config.seed.to_le_bytes());
-    key = fnv(key, &(config.vectors as u64).to_le_bytes());
+    let mut key = fnv1a(FNV_OFFSET, &library.content_hash().to_le_bytes());
+    key = fnv1a(key, config.scenario.to_string().as_bytes());
+    key = fnv1a(key, &config.seed.to_le_bytes());
+    key = fnv1a(key, &(config.vectors as u64).to_le_bytes());
     let context_key = key;
 
     let mut seen: HashSet<u64> = HashSet::new();

@@ -1,7 +1,9 @@
 //! `aix-obs` — dependency-free structured observability for the aix
 //! workspace: hierarchical spans, typed counters/gauges/histograms and a
 //! crash-safe JSON-lines event trace, behind a global [`Recorder`] whose
-//! default is a no-op.
+//! default is a no-op. As the workspace's dependency-free leaf it also
+//! hosts [`fnv1a`], the FNV-1a content hash behind the cache keys,
+//! journal keys and seeded decisions of the other crates.
 //!
 //! # Design
 //!
@@ -37,6 +39,7 @@
 //! ```
 
 mod event;
+mod fnv;
 mod json;
 mod metrics;
 pub mod names;
@@ -44,6 +47,7 @@ mod span;
 mod summary;
 
 pub use event::{Event, EventError, EventKind, TRACE_SCHEMA};
+pub use fnv::{fnv1a, FNV_OFFSET};
 pub use json::{parse_object, render_object, JsonError, Value};
 pub use metrics::{Histogram, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use span::SpanGuard;

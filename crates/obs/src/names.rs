@@ -1,17 +1,87 @@
-//! Canonical event-name vocabulary for cross-crate spans and counters.
+//! Canonical event-name vocabulary for every span, counter and gauge.
 //!
-//! Producers (the serve daemon, the engine) and consumers (trace
-//! summaries, tests, dashboards) must agree on event names byte-for-byte
-//! or the trace silently fragments; naming them once here makes the
-//! compiler enforce the agreement. Engine-side names predate this module
-//! and stay as string literals for trace compatibility — new subsystems
-//! add their vocabulary here.
+//! Producers (the engine, the simulators, the serve daemon) and consumers
+//! (trace summaries, tests, dashboards) must agree on event names
+//! byte-for-byte or the trace silently fragments; naming them once here
+//! makes the compiler enforce the agreement. Every `span!`/`count!`/
+//! `gauge!` call site names its event through a constant of this module
+//! (a workspace test rejects string literals there).
 
-/// Simulation-engine events: spans over packed (lane-parallel) runs and
-/// counters sized in lane words. The value-mode `sim_packed` span predates
-/// this module and stays a literal in `aix-sim`; the timed engine's
-/// vocabulary lives here.
+/// Characterization-engine events (`aix-core::engine` and its job guard):
+/// one span per campaign and per stage, one per synthesis/STA job, and
+/// counters for cache, journal, retry and timeout outcomes.
+pub mod engine {
+    /// Span over one whole `characterize_all` campaign.
+    pub const SPAN_CAMPAIGN: &str = "campaign";
+    /// Span over planning: fingerprinting jobs and probing cache/journal.
+    pub const SPAN_PLAN: &str = "plan";
+    /// Span over the synthesis stage (all synthesis jobs).
+    pub const SPAN_SYNTH_STAGE: &str = "synth_stage";
+    /// Span over one synthesis job.
+    pub const SPAN_SYNTH: &str = "synth";
+    /// Span over the STA stage (all aged-timing jobs).
+    pub const SPAN_STA_STAGE: &str = "sta_stage";
+    /// Span over one STA job.
+    pub const SPAN_STA: &str = "sta";
+    /// Span over merging job results into the approximation library.
+    pub const SPAN_MERGE: &str = "merge";
+    /// Counter: a job's result was served from the on-disk cache.
+    pub const CACHE_HIT: &str = "cache_hit";
+    /// Counter: a job missed the cache and will be executed.
+    pub const CACHE_MISS: &str = "cache_miss";
+    /// Counter: a job's result was recovered from the resumed journal.
+    pub const JOURNAL_HIT: &str = "journal_hit";
+    /// Gauge: synthesis jobs planned for the campaign.
+    pub const SYNTH_PLANNED: &str = "synth_planned";
+    /// Counter: the job guard retried a job after a transient failure.
+    pub const JOB_RETRY: &str = "job_retry";
+    /// Counter: a job exhausted its attempts on the wall-clock watchdog.
+    pub const JOB_TIMEOUT: &str = "job_timeout";
+}
+
+/// Savings-comparison events (`aix-core::savings`).
+pub mod savings {
+    /// Span over measuring one design's area, power and energy.
+    pub const SPAN_DESIGN_METRICS: &str = "design_metrics";
+    /// Span over the approximated-vs-aging-aware comparison.
+    pub const SPAN_COMPARE: &str = "savings_compare";
+}
+
+/// Synthesis events (`aix-synth`).
+pub mod synth {
+    /// Span over one `Synthesizer` run.
+    pub const SPAN_SYNTHESIZE: &str = "synthesize";
+    /// Span over one aging-aware (guardbanded) synthesis baseline.
+    pub const SPAN_AGING_AWARE: &str = "aging_aware";
+}
+
+/// Guarantee-verification events (`aix-verify::campaign`).
+pub mod verify {
+    /// Span over one whole verification campaign.
+    pub const SPAN_CAMPAIGN: &str = "verify_campaign";
+    /// Span over verifying one library entry.
+    pub const SPAN_ENTRY: &str = "verify_entry";
+    /// Counter: an entry's guarantee held.
+    pub const PASS: &str = "verify_pass";
+    /// Counter: an entry's guarantee was violated.
+    pub const FAIL: &str = "verify_fail";
+    /// Counter: entries skipped because the campaign was cancelled.
+    pub const CANCELLED: &str = "verify_cancelled";
+}
+
+/// Simulation-engine events: spans over packed (lane-parallel) value and
+/// timed runs, activity collection, and counters sized in lane words or
+/// event groups.
 pub mod sim {
+    /// Span over one packed *value-mode* (zero-delay) run; its `consumer`
+    /// field names the caller (activity collection, fault simulation).
+    pub const SPAN_PACKED: &str = "sim_packed";
+    /// Counter: 64-lane words evaluated by the packed value engine.
+    pub const PACKED_WORDS: &str = "packed_words";
+    /// Span over zero-delay switching-activity collection.
+    pub const SPAN_ACTIVITY_COLLECT: &str = "activity_collect";
+    /// Span over glitch-aware (timed) switching-activity collection.
+    pub const SPAN_ACTIVITY_TIMED: &str = "activity_timed";
     /// Span over one packed *timed* (event-driven) measurement — the
     /// lane-parallel twin of a scalar `TimedSimulator` sweep.
     pub const SPAN_TIMED_PACKED: &str = "sim_timed_packed";
@@ -47,10 +117,6 @@ pub mod serve {
     pub const QUEUE_DEPTH_INTERACTIVE: &str = "serve_queue_depth_interactive";
     /// Gauge: current depth of the bulk tier.
     pub const QUEUE_DEPTH_BULK: &str = "serve_queue_depth_bulk";
-    /// Counter: an injected `stall` fault parked a connection handler.
-    pub const CONN_STALLED: &str = "serve_conn_stalled";
-    /// Counter: an injected `connrefused` fault dropped a connection.
-    pub const CONN_REFUSED: &str = "serve_conn_refused";
 }
 
 /// Design-space explorer events (`aix-explore`): one span per search, one
@@ -94,35 +160,4 @@ pub mod import {
     pub const ALIAS_HIT: &str = "import_alias_hit";
     /// Counter: an import failed with a structured `ImportError`.
     pub const FAILED: &str = "import_failed";
-}
-
-/// Metric and span names for the replicated fleet client layer
-/// (`aix-serve::fleet`): hedging, health probing, circuit breaking and
-/// failover across a set of daemon replicas.
-pub mod fleet {
-    /// Span over one fleet-level call, covering routing, hedging and
-    /// failover until a terminal response (or exhaustion).
-    pub const SPAN_CALL: &str = "fleet_call";
-    /// Counter: a hedge request was dispatched to a second replica after
-    /// the p95-derived delay elapsed without a primary response.
-    pub const HEDGE_FIRED: &str = "fleet_hedge_fired";
-    /// Counter: the hedge (not the primary) produced the winning terminal
-    /// response.
-    pub const HEDGE_WON: &str = "fleet_hedge_won";
-    /// Counter: a call failed over to another replica after its primary
-    /// attempt failed.
-    pub const FAILOVER: &str = "fleet_failover";
-    /// Counter: a replica's circuit breaker tripped open after
-    /// consecutive failures.
-    pub const BREAKER_TRIP: &str = "fleet_breaker_trip";
-    /// Counter: a half-open trial succeeded and the breaker closed again.
-    pub const BREAKER_RECOVERED: &str = "fleet_breaker_recovered";
-    /// Counter: the retry token budget denied a hedge or failover.
-    pub const RETRY_DENIED: &str = "fleet_retry_denied";
-    /// Counter: a background health probe failed.
-    pub const PROBE_FAILED: &str = "fleet_probe_failed";
-    /// Gauge: a replica's observed p50 work-call latency, in ms.
-    pub const REPLICA_P50: &str = "fleet_replica_p50_ms";
-    /// Gauge: a replica's observed p99 work-call latency, in ms.
-    pub const REPLICA_P99: &str = "fleet_replica_p99_ms";
 }

@@ -35,11 +35,7 @@ pub const JOURNAL_HEADER: &str = "aix-serve-journal v1";
 /// A stable 16-hex-digit request key (FNV-1a over the fingerprint).
 #[must_use]
 pub fn request_hash(fingerprint: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in fingerprint.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = aix_obs::fnv1a(aix_obs::FNV_OFFSET, fingerprint.as_bytes());
     format!("{hash:016x}")
 }
 

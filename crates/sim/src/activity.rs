@@ -63,7 +63,10 @@ impl Activity {
     where
         I: IntoIterator<Item = Vec<bool>>,
     {
-        let _span = aix_obs::span!("activity_collect", nets = netlist.net_count());
+        let _span = aix_obs::span!(
+            aix_obs::names::sim::SPAN_ACTIVITY_COLLECT,
+            nets = netlist.net_count()
+        );
         match engine {
             SimEngine::Scalar => Self::collect_scalar(netlist, stimuli),
             SimEngine::Packed => Self::collect_packed(netlist, stimuli),
@@ -110,7 +113,7 @@ impl Activity {
         I: IntoIterator<Item = Vec<bool>>,
     {
         let _span = aix_obs::span!(
-            "sim_packed",
+            aix_obs::names::sim::SPAN_PACKED,
             consumer = "activity_collect",
             nets = netlist.net_count()
         );
@@ -233,7 +236,10 @@ pub fn collect_timed_activity_with<I>(
 where
     I: IntoIterator<Item = Vec<bool>>,
 {
-    let _span = aix_obs::span!("activity_timed", nets = netlist.net_count());
+    let _span = aix_obs::span!(
+        aix_obs::names::sim::SPAN_ACTIVITY_TIMED,
+        nets = netlist.net_count()
+    );
     match engine {
         SimEngine::Scalar => collect_timed_activity_scalar(netlist, delays, stimuli),
         SimEngine::Packed => collect_timed_activity_packed(netlist, delays, stimuli),

@@ -156,7 +156,7 @@ fn simulate_faults_packed(
     stimuli: &[Vec<bool>],
 ) -> Result<FaultCoverage, NetlistError> {
     let _span = aix_obs::span!(
-        "sim_packed",
+        aix_obs::names::sim::SPAN_PACKED,
         consumer = "simulate_faults",
         faults = faults.len()
     );

@@ -265,7 +265,7 @@ impl<'nl> PackedEvaluator<'nl> {
         }
         self.lanes = lanes;
         aix_obs::count!(
-            "packed_words",
+            aix_obs::names::sim::PACKED_WORDS,
             words = self.netlist.gate_count(),
             lanes = lanes
         );

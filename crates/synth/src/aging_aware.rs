@@ -41,7 +41,7 @@ pub fn aging_aware_synthesize(
     max_iterations: usize,
 ) -> Result<AgingAwareOutcome, NetlistError> {
     let _span = aix_obs::span!(
-        "aging_aware",
+        aix_obs::names::synth::SPAN_AGING_AWARE,
         gates = netlist.gate_count(),
         target_ps = target_ps,
         max_iterations = max_iterations,

@@ -161,7 +161,7 @@ impl Synthesizer {
     /// Propagates construction errors; well-formed specs never fail.
     pub fn adder(&self, spec: ComponentSpec) -> Result<Netlist, NetlistError> {
         let _span = aix_obs::span!(
-            "synthesize",
+            aix_obs::names::synth::SPAN_SYNTHESIZE,
             kind = "adder",
             width = spec.width(),
             precision = spec.precision(),
@@ -194,7 +194,7 @@ impl Synthesizer {
     /// Propagates construction errors.
     pub fn multiplier(&self, spec: ComponentSpec) -> Result<Netlist, NetlistError> {
         let _span = aix_obs::span!(
-            "synthesize",
+            aix_obs::names::synth::SPAN_SYNTHESIZE,
             kind = "multiplier",
             width = spec.width(),
             precision = spec.precision(),
@@ -230,7 +230,7 @@ impl Synthesizer {
     /// Propagates construction errors.
     pub fn mac(&self, spec: ComponentSpec) -> Result<Netlist, NetlistError> {
         let _span = aix_obs::span!(
-            "synthesize",
+            aix_obs::names::synth::SPAN_SYNTHESIZE,
             kind = "mac",
             width = spec.width(),
             precision = spec.precision(),

@@ -467,7 +467,10 @@ pub fn verify_library(
     // precision) — notably each component's full-width constraint netlist —
     // is synthesized once, however many scenarios reference it.
     let netlists = NetlistCache::new();
-    let campaign_span = aix_obs::span!("verify_campaign", components = library.iter().count());
+    let campaign_span = aix_obs::span!(
+        aix_obs::names::verify::SPAN_CAMPAIGN,
+        components = library.iter().count()
+    );
     let worklist: Vec<(&ComponentCharacterization, CharacterizationScenario)> = library
         .iter()
         .flat_map(|c| aged_scenarios(c).into_iter().map(move |s| (c, s)))
@@ -479,7 +482,10 @@ pub fn verify_library(
         // kept, the rest of the campaign is cut and reported as skipped.
         if config.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             cancelled_entries = worklist.len() - index;
-            aix_obs::count!("verify_cancelled", skipped = cancelled_entries);
+            aix_obs::count!(
+                aix_obs::names::verify::CANCELLED,
+                skipped = cancelled_entries
+            );
             break;
         }
         let scenario = *scenario;
@@ -488,7 +494,7 @@ pub fn verify_library(
             characterization.kind(),
             characterization.width()
         );
-        let entry_span = aix_obs::span!("verify_entry", entry = &entry_site);
+        let entry_span = aix_obs::span!(aix_obs::names::verify::SPAN_ENTRY, entry = &entry_site);
         let verdict = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             verify_deployment_cached(
                 cells,
@@ -510,7 +516,11 @@ pub fn verify_library(
         })??;
         entry_span.close();
         aix_obs::count!(
-            if verdict.passed { "verify_pass" } else { "verify_fail" },
+            if verdict.passed {
+                aix_obs::names::verify::PASS
+            } else {
+                aix_obs::names::verify::FAIL
+            },
             entry = &entry_site,
         );
         entries.push(verdict);

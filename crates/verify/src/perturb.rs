@@ -88,12 +88,8 @@ fn normal(rng: &mut StdRng) -> f64 {
 /// order they are visited in: FNV-1a over the campaign seed and the entry's
 /// identity.
 pub fn entry_rng(seed: u64, label: &str) -> StdRng {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for byte in label.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    StdRng::seed_from_u64(hash)
+    let basis = aix_obs::FNV_OFFSET ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    StdRng::seed_from_u64(aix_obs::fnv1a(basis, label.as_bytes()))
 }
 
 #[cfg(test)]

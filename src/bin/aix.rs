@@ -31,7 +31,7 @@ use aix::explore::ExploreConfig;
 use aix::dct::DatapathPrecision;
 use aix::faults::{FaultPlan, FaultStage};
 use aix::netlist::{to_dot, to_edif, to_verilog};
-use aix::serve::{Client, FleetClient, FleetConfig, Server, ServerConfig};
+use aix::serve::{Client, Server, ServerConfig};
 use aix::sim::{measure_errors, OperandSource, SignedNormalOperands, SimEngine};
 use aix::sta::{analyze, to_sdf, NetDelays};
 use aix::synth::Effort;
@@ -289,24 +289,15 @@ commands:
                 [--effort area|medium|ultra] [--years N]
                 [--stress worst|balanced] [--samples N] [--seed N]
                 [--deadline-ms N] [--connect-timeout-ms N]
-                [--addr HOST:PORT | --addr-file FILE |
-                 --fleet ADDR1,ADDR2,...]
-                                  send one work request. --fleet routes it
-                                  through the replicated client: replicas are
-                                  health-probed with circuit breakers, a hedge
-                                  fires after the primary's p95 latency, fast
-                                  failures fail over, and hedges/failovers are
-                                  bounded by a retry token budget so retries
-                                  never amplify an overload
-  serve status  [--addr HOST:PORT | --addr-file FILE |
-                 --fleet ADDR1,ADDR2,...] [--connect-timeout-ms N]
+                [--addr HOST:PORT | --addr-file FILE]
+                                  send one work request to a daemon and print
+                                  its response
+  serve status  [--addr HOST:PORT | --addr-file FILE] [--connect-timeout-ms N]
                                   print a daemon's queue depths (per admission
                                   tier), shed/coalesce counters and p50/p99
-                                  latencies; --fleet prints one block per
-                                  replica plus the fleet.* snapshot
-  serve shutdown [--addr HOST:PORT | --addr-file FILE |
-                 --fleet ADDR1,ADDR2,...] [--connect-timeout-ms N]
-                                  ask the daemon(s) to drain and exit 0
+                                  latencies
+  serve shutdown [--addr HOST:PORT | --addr-file FILE] [--connect-timeout-ms N]
+                                  ask the daemon to drain and exit 0
   trace         summarize [--file FILE] [--strict] [--no-record]
                                   render the per-stage latency/counter table of
                                   a recorded JSONL trace (newest under
@@ -1228,24 +1219,6 @@ fn parse_connect_timeout(options: &HashMap<String, String>) -> Result<Option<u64
     }
 }
 
-/// `--fleet addr1,addr2,...` parsed into a replica list.
-fn parse_fleet_addrs(list: &str) -> Result<Vec<String>, AixError> {
-    let addrs: Vec<String> = list
-        .split(',')
-        .map(str::trim)
-        .filter(|a| !a.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if addrs.is_empty() {
-        return Err(AixError::InvalidOption {
-            flag: "--fleet",
-            value: list.to_owned(),
-            expected: "a comma-separated list of replica addresses",
-        });
-    }
-    Ok(addrs)
-}
-
 fn single_addr(options: &HashMap<String, String>) -> Result<String, AixError> {
     Ok(match get(options, "--addr") {
         Some(addr) => addr.to_owned(),
@@ -1261,9 +1234,6 @@ fn single_addr(options: &HashMap<String, String>) -> Result<String, AixError> {
 
 fn serve_call(options: &HashMap<String, String>, payload: &str) -> CliResult {
     let connect_override = parse_connect_timeout(options)?;
-    if let Some(list) = get(options, "--fleet") {
-        return serve_fleet_admin(payload, list, connect_override);
-    }
     let addr = single_addr(options)?;
     let timeout = aix::serve::client::connect_timeout(connect_override);
     let mut client = Client::connect_with_timeout(&addr, timeout)
@@ -1284,63 +1254,8 @@ fn serve_call(options: &HashMap<String, String>, payload: &str) -> CliResult {
     })
 }
 
-/// Fleet-aware `status`/`shutdown`: address every replica, print a block
-/// per replica, and (for `status`) the fleet client's own `fleet.*`
-/// snapshot. Exits 0 when every replica answered.
-fn serve_fleet_admin(
-    payload: &str,
-    list: &str,
-    connect_override: Option<u64>,
-) -> CliResult {
-    let addrs = parse_fleet_addrs(list)?;
-    let timeout = aix::serve::client::connect_timeout(connect_override);
-    let mut failures = 0usize;
-    for addr in &addrs {
-        println!("[{addr}]");
-        let result = Client::connect_with_timeout(addr, timeout).and_then(|mut client| {
-            client.set_response_timeout(Some(Duration::from_secs(10)))?;
-            client.call(payload)
-        });
-        match result {
-            Ok(response) => {
-                for (key, value) in response.fields() {
-                    println!("  {key}: {value}");
-                }
-                if response.status() != "ok" {
-                    failures += 1;
-                }
-            }
-            Err(e) => {
-                println!("  error: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if payload.contains("\"op\":\"status\"") {
-        // A fresh CLI process has no call history, but the snapshot still
-        // reports the fleet shape and per-replica breaker/latency fields
-        // under the same names `serve call --fleet` uses.
-        let mut config = FleetConfig::new(addrs);
-        config.connect_timeout_ms = connect_override;
-        config.probe = false;
-        if let Ok(fleet) = FleetClient::new(config) {
-            println!("[fleet]");
-            for (key, value) in fleet.snapshot_fields() {
-                println!("  {key}: {value}");
-            }
-        }
-    }
-    Ok(if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-/// `aix serve call`: send one work request, either to a single daemon
-/// (`--addr`/`--addr-file`) or through the replicated fleet client
-/// (`--fleet addr1,addr2,...` — health-checked routing, hedging,
-/// failover).
+/// `aix serve call`: send one work request to the daemon at
+/// `--addr`/`--addr-file` and print its response.
 fn serve_work_call(options: &HashMap<String, String>) -> CliResult {
     let op = get(options, "--op").unwrap_or("select-precision");
     if !matches!(op, "characterize" | "select-precision" | "verify") {
@@ -1412,38 +1327,19 @@ fn serve_work_call(options: &HashMap<String, String>) -> CliResult {
         Duration::from_secs(600)
     };
 
-    let response = if let Some(list) = get(options, "--fleet") {
-        let mut config = FleetConfig::new(parse_fleet_addrs(list)?);
-        config.connect_timeout_ms = connect_override;
-        config.response_timeout = response_timeout;
-        let fleet = FleetClient::new(config).map_err(|e| AixError::io(list.to_owned(), e))?;
-        let response = fleet
-            .call(&payload)
-            .map_err(|e| AixError::io(list.to_owned(), e))?;
-        for (key, value) in response.fields() {
-            println!("{key}: {value}");
-        }
-        println!("[fleet]");
-        for (key, value) in fleet.snapshot_fields() {
-            println!("  {key}: {value}");
-        }
-        response
-    } else {
-        let addr = single_addr(options)?;
-        let timeout = aix::serve::client::connect_timeout(connect_override);
-        let mut client = Client::connect_with_timeout(&addr, timeout)
-            .map_err(|e| AixError::io(addr.clone(), e))?;
-        client
-            .set_response_timeout(Some(response_timeout))
-            .map_err(|e| AixError::io(addr.clone(), e))?;
-        let response = client
-            .call(&payload)
-            .map_err(|e| AixError::io(addr.clone(), e))?;
-        for (key, value) in response.fields() {
-            println!("{key}: {value}");
-        }
-        response
-    };
+    let addr = single_addr(options)?;
+    let timeout = aix::serve::client::connect_timeout(connect_override);
+    let mut client = Client::connect_with_timeout(&addr, timeout)
+        .map_err(|e| AixError::io(addr.clone(), e))?;
+    client
+        .set_response_timeout(Some(response_timeout))
+        .map_err(|e| AixError::io(addr.clone(), e))?;
+    let response = client
+        .call(&payload)
+        .map_err(|e| AixError::io(addr.clone(), e))?;
+    for (key, value) in response.fields() {
+        println!("{key}: {value}");
+    }
     Ok(if matches!(response.status(), "ok" | "partial") {
         ExitCode::SUCCESS
     } else {

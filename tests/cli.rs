@@ -139,6 +139,23 @@ fn missing_required_flag_is_a_clean_error() {
     assert!(String::from_utf8_lossy(&output.stderr).contains("--kind is required"));
 }
 
+/// `--fleet` is not a `serve call` option: the flag is ignored like any
+/// unknown one, so the call goes to the default daemon address, finds no
+/// daemon there, and fails with an error naming that address — never a
+/// panic.
+#[test]
+fn serve_call_without_a_daemon_names_the_address() {
+    let output = aix()
+        .args(["serve", "call", "--kind", "adder", "--fleet", "127.0.0.1:1"])
+        .env("AIX_CONNECT_TIMEOUT_MS", "2000")
+        .output()
+        .expect("spawn aix");
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.starts_with("aix: 127.0.0.1:4617: "), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 /// Writes a quick honest 12-bit adder library to a temp file and returns
 /// its path.
 fn quick_library_file(name: &str) -> std::path::PathBuf {

@@ -312,3 +312,90 @@ fn trace_summarize_renders_the_table_and_validates_strictly() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every `span!`/`count!`/`gauge!` in production code names its event
+/// through an `aix_obs::names` constant: a string literal anywhere else
+/// would let producers and trace consumers drift apart. Comment lines (the
+/// macro docs' examples) and the trailing `#[cfg(test)] mod` of each file
+/// (which exercises the recorder with throwaway names) are exempt.
+#[test]
+fn event_names_are_spelled_only_in_names_rs() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("src")];
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates dir") {
+        dirs.push(krate.expect("crate entry").path().join("src"));
+    }
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs")
+                && !path.ends_with("obs/src/names.rs")
+            {
+                files.push(path);
+            }
+        }
+    }
+    assert!(files.len() > 50, "scanned only {} files", files.len());
+
+    let mut offenders = Vec::new();
+    for path in &files {
+        let code = production_code(&std::fs::read_to_string(path).expect("source file"));
+        for mac in ["span!(", "count!(", "gauge!("] {
+            for (at, _) in code.match_indices(mac) {
+                let args = &code[at + mac.len()..];
+                if first_argument(args).contains('"') {
+                    let line = code[..at].matches('\n').count() + 1;
+                    offenders.push(format!("{}:{line}: {mac}", path.display()));
+                }
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "event names must come from aix_obs::names, not string literals:\n{}",
+        offenders.join("\n")
+    );
+}
+
+/// `source` up to its `#[cfg(test)] mod`, with comment lines blanked
+/// (newlines stay, so line numbers still match the file).
+fn production_code(source: &str) -> String {
+    let mut code = String::with_capacity(source.len());
+    let mut lines = source.lines().peekable();
+    while let Some(line) = lines.next() {
+        let test_module = line.trim() == "#[cfg(test)]"
+            && lines
+                .peek()
+                .is_some_and(|next| next.trim_start().starts_with("mod "));
+        if test_module {
+            break;
+        }
+        if !line.trim_start().starts_with("//") {
+            code.push_str(line);
+        }
+        code.push('\n');
+    }
+    code
+}
+
+/// A macro call's first argument: everything up to the first `,` or the
+/// closing `)` at nesting depth zero.
+fn first_argument(args: &str) -> &str {
+    let mut depth = 0usize;
+    for (index, ch) in args.char_indices() {
+        match ch {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' if depth == 0 => return &args[..index],
+            ')' | ']' | '}' => depth -= 1,
+            ',' if depth == 0 => return &args[..index],
+            _ => {}
+        }
+    }
+    args
+}
