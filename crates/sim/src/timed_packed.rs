@@ -12,13 +12,21 @@
 //! * **Integer tick grid.** All event times are femtosecond ticks
 //!   ([`crate::TICKS_PER_PS`]), shared with the scalar engine, so
 //!   "simultaneous" is decidable and both engines batch the same instants.
-//! * **Event groups.** The calendar maps ticks to `Vec<EventGroup>` (a
-//!   flat hash map plus a min-heap of distinct ticks): one group carries a
-//!   net's new lane word plus the mask of lanes that actually change.
-//!   Lanes whose delays drive a transition to the same (net, tick) share
-//!   one group, one calendar operation, and one gate re-evaluation — on
-//!   balanced adders most lanes do, which is where the speedup over 64
-//!   scalar event queues comes from.
+//! * **Event groups.** One group carries a net's new lane word plus the
+//!   mask of lanes that actually change. Lanes whose delays drive a
+//!   transition to the same (net, tick) share one group, one calendar
+//!   operation, and one gate re-evaluation — on balanced adders most lanes
+//!   do, which is where the speedup over 64 scalar event queues comes from.
+//!
+//! The calendar is a timing wheel: a power-of-two ring of per-tick FIFO
+//! lists sized to cover the largest net delay, so every pending event lies
+//! within one revolution of the tick being drained. A two-level occupancy
+//! bitmap finds the next pending tick in a few word operations. The ring is
+//! capped at [`MAX_RING_BITS`]; events beyond its horizon wait in a small
+//! overflow min-heap and move into the ring once it reaches them, so any
+//! finite delay still simulates exactly. Within a tick, dirty gates are
+//! bucketed by topological level and only the range of levels actually
+//! dirtied is drained.
 //!
 //! Per lane, the sequence of transitions on every net is identical to what
 //! a scalar simulator stepping that lane's stimulus stream would apply
@@ -33,50 +41,220 @@ use aix_cells::{CellFunction, MAX_INPUTS, MAX_OUTPUTS};
 use aix_netlist::{Netlist, NetlistError};
 use aix_sta::NetDelays;
 use std::cmp::Reverse;
-use std::collections::{hash_map, BinaryHeap, HashMap};
-use std::hash::{BuildHasher, Hasher};
+use std::collections::BinaryHeap;
 
-/// Multiplicative mixing hasher for tick keys: ticks are already
-/// well-spread integers, so one multiply-rotate replaces SipHash on the
-/// calendar's hottest path (one lookup per scheduled event group).
-#[derive(Default)]
-struct TickHasher(u64);
+/// End-of-list link in the calendar's event pool.
+const NIL: u32 = u32::MAX;
 
-impl Hasher for TickHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
+/// Smallest ring: one occupancy word of 64 slots.
+const MIN_RING_BITS: u32 = 6;
 
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("tick keys hash through write_u64");
-    }
+/// Largest ring: 2¹⁷ slots (1 MiB of slot heads and tails) cover net
+/// delays up to 131 ps, above the largest aged and perturbed net delays
+/// of the Fig. 1, Fig. 2 and `verify` netlists (86–97 ps). Longer
+/// delays take the overflow heap.
+const MAX_RING_BITS: u32 = 17;
 
-    fn write_u64(&mut self, value: u64) {
-        self.0 = value.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(29);
-    }
-}
-
-#[derive(Default, Clone)]
-struct TickHasherBuilder;
-
-impl BuildHasher for TickHasherBuilder {
-    type Hasher = TickHasher;
-
-    fn build_hasher(&self) -> TickHasher {
-        TickHasher::default()
-    }
-}
-
-/// One batch of lane transitions on a single net at a single tick.
+/// One batch of lane transitions on a single net at a single tick, linked
+/// into its calendar slot's FIFO list.
 #[derive(Debug, Clone, Copy)]
 struct EventGroup {
-    net: u32,
     /// New lane word of the net (only bits under `mask` are meaningful).
     values: u64,
     /// Lanes this group transitions, as scheduled. Application re-masks
     /// against the current word, mirroring the scalar engine's "skip if
     /// already at that value" rule per lane.
     mask: u64,
+    net: u32,
+    /// Next group of the same slot (or of the free list), [`NIL`] at the
+    /// end.
+    next: u32,
+}
+
+/// Timing-wheel event calendar: groups are pooled in one free-listed
+/// `Vec`, and each ring slot holds the head and tail of one tick's FIFO
+/// list. Every event in the ring lies in `[now, now + ring length)`, so a
+/// slot index identifies its tick; later events wait in `overflow`.
+///
+/// Lists are FIFO because order can matter: a zero-delay input can
+/// re-evaluate a gate twice within one tick, queueing two groups for the
+/// same net at the same later tick, and the later one must apply last.
+#[derive(Debug)]
+struct Calendar {
+    /// Tick of the slot being drained; no pending event precedes it.
+    now: u64,
+    /// Ring length minus one (the ring length is a power of two).
+    slot_mask: u64,
+    /// Per-slot `[head, tail]` into `pool`, meaningful only while the
+    /// slot's occupancy bit is set.
+    slots: Vec<[u32; 2]>,
+    /// Bit *s* is set while slot *s* holds groups.
+    occupied: Vec<u64>,
+    /// Bit *w* is set while `occupied[w]` is non-zero.
+    summary: Vec<u64>,
+    pool: Vec<EventGroup>,
+    /// Head of the free list threaded through `pool`.
+    free: u32,
+    /// Groups at or beyond the ring's horizon, keyed by (tick, insertion
+    /// order) so same-tick groups keep their FIFO order when they move
+    /// into the ring.
+    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    overflow_seq: u64,
+}
+
+impl Calendar {
+    /// A calendar whose ring covers `max_delay` ticks, within
+    /// `MIN_RING_BITS..=max_ring_bits`.
+    fn new(max_delay: u64, max_ring_bits: u32) -> Self {
+        let needed = max_delay
+            .checked_add(1)
+            .and_then(u64::checked_next_power_of_two)
+            .map_or(u64::BITS, u64::trailing_zeros);
+        let bits = needed.clamp(MIN_RING_BITS, max_ring_bits);
+        let ring = 1usize << bits;
+        let words = ring / 64;
+        Self {
+            now: 0,
+            slot_mask: ring as u64 - 1,
+            slots: vec![[0; 2]; ring],
+            occupied: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            pool: Vec::new(),
+            free: NIL,
+            overflow: BinaryHeap::new(),
+            overflow_seq: 0,
+        }
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        self.overflow.is_empty() && self.summary.iter().all(|&w| w == 0)
+    }
+
+    /// Schedules the group driving `net` to `values` in the lanes of
+    /// `mask` at `time`, which must not precede `now`.
+    fn schedule(&mut self, time: u64, net: u32, values: u64, mask: u64) {
+        debug_assert!(time >= self.now, "event at {time} before now {}", self.now);
+        let group = EventGroup {
+            values,
+            mask,
+            net,
+            next: NIL,
+        };
+        let index = if self.free == NIL {
+            assert!(
+                self.pool.len() < NIL as usize,
+                "pending event groups exceed the u32 pool index"
+            );
+            self.pool.push(group);
+            (self.pool.len() - 1) as u32
+        } else {
+            let index = self.free;
+            self.free = self.pool[index as usize].next;
+            self.pool[index as usize] = group;
+            index
+        };
+        if time - self.now <= self.slot_mask {
+            self.append(time, index);
+        } else {
+            self.overflow
+                .push(Reverse((time, self.overflow_seq, index)));
+            self.overflow_seq += 1;
+        }
+    }
+
+    /// Links pool entry `index` at the tail of `time`'s slot.
+    fn append(&mut self, time: u64, index: u32) {
+        let slot = (time & self.slot_mask) as usize;
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            self.summary[word / 64] |= 1u64 << (word % 64);
+            self.slots[slot] = [index, index];
+        } else {
+            let tail = self.slots[slot][1];
+            self.pool[tail as usize].next = index;
+            self.slots[slot][1] = index;
+        }
+    }
+
+    /// First occupied slot at or after `from`, without wrapping.
+    fn first_occupied_from(&self, from: usize) -> Option<usize> {
+        let word = from / 64;
+        let bits = self.occupied[word] & (!0u64 << (from % 64));
+        if bits != 0 {
+            return Some(word * 64 + bits.trailing_zeros() as usize);
+        }
+        let next_word = word + 1;
+        if next_word >= self.occupied.len() {
+            return None;
+        }
+        let mut index = next_word / 64;
+        let mut bits = self.summary[index] & (!0u64 << (next_word % 64));
+        loop {
+            if bits != 0 {
+                let word = index * 64 + bits.trailing_zeros() as usize;
+                return Some(word * 64 + self.occupied[word].trailing_zeros() as usize);
+            }
+            index += 1;
+            bits = *self.summary.get(index)?;
+        }
+    }
+
+    /// Detaches the earliest pending tick's list, returning the tick and
+    /// the list head (walk it with [`release`](Self::release)). Overflow
+    /// groups the ring now reaches move into it first. Returns `None` once
+    /// nothing is pending, rewinding to tick 0 for the next step.
+    fn pop(&mut self) -> Option<(u64, u32)> {
+        let from = (self.now & self.slot_mask) as usize;
+        let in_ring = self
+            .first_occupied_from(from)
+            .or_else(|| self.first_occupied_from(0))
+            .map(|slot| self.now + ((slot as u64).wrapping_sub(from as u64) & self.slot_mask));
+        let beyond = self.overflow.peek().map(|&Reverse((time, ..))| time);
+        let next = match (in_ring, beyond) {
+            (Some(a), Some(b)) => a.min(b),
+            (Some(a), None) | (None, Some(a)) => a,
+            (None, None) => {
+                self.now = 0;
+                return None;
+            }
+        };
+        self.now = next;
+        while let Some(&Reverse((time, _, index))) = self.overflow.peek() {
+            if time - self.now > self.slot_mask {
+                break;
+            }
+            self.overflow.pop();
+            self.append(time, index);
+        }
+        let slot = (next & self.slot_mask) as usize;
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        self.occupied[word] &= !bit;
+        if self.occupied[word] == 0 {
+            self.summary[word / 64] &= !(1u64 << (word % 64));
+        }
+        Some((next, self.slots[slot][0]))
+    }
+
+    /// Returns pool entry `index` to the free list and hands back its
+    /// group, whose `next` continues the detached list.
+    fn release(&mut self, index: u32) -> EventGroup {
+        let group = self.pool[index as usize];
+        self.pool[index as usize].next = self.free;
+        self.free = index;
+        group
+    }
+
+    /// Drops every pending group and rewinds to tick 0.
+    fn clear(&mut self) {
+        self.now = 0;
+        self.occupied.fill(0);
+        self.summary.fill(0);
+        self.pool.clear();
+        self.free = NIL;
+        self.overflow.clear();
+    }
 }
 
 /// How the lanes of a [`PackedTimedSimulator`] are being fed. The two
@@ -158,9 +336,8 @@ impl PackedStepOutcome {
     /// same stimulus stream.
     pub fn outcome_for_lane(&self, lane: usize) -> StepOutcome {
         assert!(lane < self.lanes, "lane {lane} out of {}", self.lanes);
-        let pick = |words: &[u64]| -> Vec<bool> {
-            words.iter().map(|&w| (w >> lane) & 1 == 1).collect()
-        };
+        let pick =
+            |words: &[u64]| -> Vec<bool> { words.iter().map(|&w| (w >> lane) & 1 == 1).collect() };
         StepOutcome {
             sampled: pick(&self.sampled_words),
             settled: pick(&self.settled_words),
@@ -204,17 +381,9 @@ pub struct PackedTimedSimulator<'nl> {
     /// Most recently scheduled lane word per net, for per-lane event
     /// suppression.
     scheduled: Vec<u64>,
-    /// Event calendar: tick → groups scheduled for that instant. A flat
-    /// hash map (O(1) scheduling) paired with `tick_heap` for ordered
-    /// draining — measurably faster than a `BTreeMap` calendar, whose
-    /// node traffic dominated the profile.
-    queue: HashMap<u64, Vec<EventGroup>, TickHasherBuilder>,
-    /// Min-heap of the distinct ticks present in `queue` (each exactly
-    /// once: pushed only when its map entry is created).
-    tick_heap: BinaryHeap<Reverse<u64>>,
-    /// Recycled per-tick group buffers: the calendar would otherwise
-    /// allocate and free one `Vec` per distinct event instant.
-    free_groups: Vec<Vec<EventGroup>>,
+    /// Event calendar: a timing wheel over the pending event groups,
+    /// covering the largest net delay with one revolution.
+    calendar: Calendar,
     /// Functional reference for stream initialization.
     golden: PackedEvaluator<'nl>,
     /// Scratch: settled lane words of the latest golden evaluation.
@@ -229,6 +398,7 @@ pub struct PackedTimedSimulator<'nl> {
     /// Dirty gates of the current tick, bucketed by topological level:
     /// draining the buckets in order yields levelized evaluation without
     /// a per-tick sort (which dominated the profile on small components).
+    /// Each tick drains only the range of levels it dirtied.
     level_buckets: Vec<Vec<u32>>,
     dirty_stamp: Vec<u64>,
     dirty_epoch: u64,
@@ -250,6 +420,16 @@ impl<'nl> PackedTimedSimulator<'nl> {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists and
     /// [`NetlistError::InvalidDelay`] for NaN/negative/non-finite delays.
     pub fn new(netlist: &'nl Netlist, delays: &NetDelays) -> Result<Self, NetlistError> {
+        Self::with_max_ring_bits(netlist, delays, MAX_RING_BITS)
+    }
+
+    /// [`new`](Self::new) with the calendar ring capped at
+    /// 2^`max_ring_bits` slots, so tests can push events past the horizon.
+    fn with_max_ring_bits(
+        netlist: &'nl Netlist,
+        delays: &NetDelays,
+        max_ring_bits: u32,
+    ) -> Result<Self, NetlistError> {
         let delays_ticks = quantize_delays(delays)?;
         let golden = PackedEvaluator::new(netlist)?;
         let schedule = netlist.schedule()?;
@@ -276,6 +456,7 @@ impl<'nl> PackedTimedSimulator<'nl> {
             .into_iter()
             .map(|sinks| sinks.into_iter().map(|(g, _)| g.raw()).collect())
             .collect();
+        let max_delay = delays_ticks.iter().copied().max().unwrap_or(0);
         Ok(Self {
             netlist,
             functions,
@@ -288,9 +469,7 @@ impl<'nl> PackedTimedSimulator<'nl> {
             fanout,
             values: vec![0; netlist.net_count()],
             scheduled: vec![0; netlist.net_count()],
-            queue: HashMap::default(),
-            tick_heap: BinaryHeap::new(),
-            free_groups: Vec::new(),
+            calendar: Calendar::new(max_delay, max_ring_bits),
             golden,
             settled_net: vec![0; netlist.net_count()],
             prev_bits: vec![0; netlist.net_count()],
@@ -463,8 +642,7 @@ impl<'nl> PackedTimedSimulator<'nl> {
     /// Resets to the uninitialized state (either mode may follow),
     /// clearing transition counters.
     pub fn reset(&mut self) {
-        self.queue.clear();
-        self.tick_heap.clear();
+        self.calendar.clear();
         self.mode = None;
         self.started = false;
         self.stream_lanes = 0;
@@ -480,20 +658,7 @@ impl<'nl> PackedTimedSimulator<'nl> {
             return;
         }
         *slot = (*slot & !changed) | (values & changed);
-        let group = EventGroup {
-            net,
-            values: *slot,
-            mask: changed,
-        };
-        match self.queue.entry(time) {
-            hash_map::Entry::Occupied(mut entry) => entry.get_mut().push(group),
-            hash_map::Entry::Vacant(entry) => {
-                let mut groups = self.free_groups.pop().unwrap_or_default();
-                groups.push(group);
-                entry.insert(groups);
-                self.tick_heap.push(Reverse(time));
-            }
-        }
+        self.calendar.schedule(time, net, *slot, changed);
     }
 
     /// Re-evaluates `gate` for all lanes and schedules per-lane output
@@ -515,7 +680,12 @@ impl<'nl> PackedTimedSimulator<'nl> {
         for (pin, out_idx) in out_range.enumerate() {
             let out_net = self.gate_outputs[out_idx];
             let delay = self.delays_ticks[out_net as usize];
-            self.schedule_event(out_net, out_buf[pin], active_mask, now.saturating_add(delay));
+            self.schedule_event(
+                out_net,
+                out_buf[pin],
+                active_mask,
+                now.saturating_add(delay),
+            );
         }
     }
 
@@ -529,17 +699,22 @@ impl<'nl> PackedTimedSimulator<'nl> {
         // one group is a short ripple-carry over whole words instead of a
         // loop over its set lanes.
         let mut trans_planes = [0u64; 24];
-        while let Some(Reverse(now)) = self.tick_heap.pop() {
+        // A zero-delay net's event lands back in the slot being drained;
+        // the next `pop` returns the same tick and revisits it.
+        while let Some((now, head)) = self.calendar.pop() {
             // Sample *before* applying this instant's batch: an arrival
             // exactly on the clock edge has zero setup margin.
             if sampled.is_none() && now >= clock_ticks {
                 sampled = Some(self.snapshot_output_words());
             }
-            let mut groups = self.queue.remove(&now).expect("popped tick has groups");
             self.dirty_epoch += 1;
             let epoch = self.dirty_epoch;
             let mut tick_changed = 0u64;
-            for group in &groups {
+            let (mut low_level, mut high_level) = (usize::MAX, 0usize);
+            let mut link = head;
+            while link != NIL {
+                let group = self.calendar.release(link);
+                link = group.next;
                 let net = group.net as usize;
                 let changed = (self.values[net] ^ group.values) & group.mask;
                 if changed == 0 {
@@ -562,7 +737,10 @@ impl<'nl> PackedTimedSimulator<'nl> {
                 for &gate in &self.fanout[net] {
                     if self.dirty_stamp[gate as usize] != epoch {
                         self.dirty_stamp[gate as usize] = epoch;
-                        self.level_buckets[self.gate_level[gate as usize] as usize].push(gate);
+                        let level = self.gate_level[gate as usize] as usize;
+                        self.level_buckets[level].push(gate);
+                        low_level = low_level.min(level);
+                        high_level = high_level.max(level);
                     }
                 }
             }
@@ -574,15 +752,16 @@ impl<'nl> PackedTimedSimulator<'nl> {
                 bits &= bits - 1;
                 self.settle_ticks[lane] = now;
             }
-            groups.clear();
-            self.free_groups.push(groups);
+            if low_level > high_level {
+                continue;
+            }
             // Evaluate one instant's gates in levelized order: within a
             // tick the order cannot change results (evaluations only read
             // this tick's fully-applied `values` and schedule future
             // events), and draining per-level buckets gives that order
             // deterministically without a per-tick sort.
             let mut buckets = std::mem::take(&mut self.level_buckets);
-            for bucket in &mut buckets {
+            for bucket in &mut buckets[low_level..=high_level] {
                 for &gate in bucket.iter() {
                     self.evaluate_gate(gate, now, active_mask);
                 }
@@ -630,11 +809,11 @@ impl<'nl> PackedTimedSimulator<'nl> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OperandSource;
     use crate::{TimedSimulator, UniformOperands};
     use aix_arith::{build_adder, AdderKind, ComponentSpec};
     use aix_cells::Library;
     use aix_sta::{analyze, NetDelays};
-    use crate::OperandSource;
 
     fn adder(kind: AdderKind, width: usize) -> Netlist {
         let lib = std::sync::Arc::new(Library::nangate45_like());
@@ -647,8 +826,20 @@ mod tests {
         clock_ps: f64,
         vectors: Vec<Vec<bool>>,
     ) {
+        assert_ring_matches_scalar(nl, delays, clock_ps, vectors, MAX_RING_BITS);
+    }
+
+    /// [`assert_stream_matches_scalar`] with the calendar ring capped at
+    /// 2^`ring_bits` slots; returns the event groups the packed run applied.
+    fn assert_ring_matches_scalar(
+        nl: &Netlist,
+        delays: &NetDelays,
+        clock_ps: f64,
+        vectors: Vec<Vec<bool>>,
+        ring_bits: u32,
+    ) -> u64 {
         let mut scalar = TimedSimulator::new(nl, delays).unwrap();
-        let mut packed = PackedTimedSimulator::new(nl, delays).unwrap();
+        let mut packed = PackedTimedSimulator::with_max_ring_bits(nl, delays, ring_bits).unwrap();
         let mut scalar_outcomes = Vec::new();
         for v in &vectors {
             scalar_outcomes.push(scalar.step(v, clock_ps).unwrap());
@@ -670,6 +861,11 @@ mod tests {
             scalar.transition_counts(),
             "per-net transition totals diverged"
         );
+        assert!(
+            packed.calendar.is_empty(),
+            "a finished step left events pending"
+        );
+        packed.groups_applied
     }
 
     #[test]
@@ -702,8 +898,9 @@ mod tests {
         let delays = NetDelays::fresh(&nl);
         let clock = analyze(&nl, &delays).unwrap().max_delay_ps() * 0.3;
         for count in [1usize, 63, 64, 65] {
-            let vectors: Vec<Vec<bool>> =
-                UniformOperands::new(8, count as u64).vectors(count).collect();
+            let vectors: Vec<Vec<bool>> = UniformOperands::new(8, count as u64)
+                .vectors(count)
+                .collect();
             assert_stream_matches_scalar(&nl, &delays, clock, vectors);
         }
     }
@@ -726,7 +923,11 @@ mod tests {
             let out = packed.step_streams(&batch, clock).unwrap();
             for (lane, scalar) in scalars.iter_mut().enumerate() {
                 let expect = scalar.step(&streams[lane][step], clock).unwrap();
-                assert_eq!(out.outcome_for_lane(lane), expect, "step {step} lane {lane}");
+                assert_eq!(
+                    out.outcome_for_lane(lane),
+                    expect,
+                    "step {step} lane {lane}"
+                );
             }
         }
     }
@@ -765,5 +966,256 @@ mod tests {
         sim.reset();
         assert!(sim.transition_counts().iter().all(|&c| c == 0));
         sim.step_stream_batch(&batch, 100.0).unwrap();
+    }
+
+    fn multiplier(width: usize) -> Netlist {
+        let lib = std::sync::Arc::new(Library::nangate45_like());
+        aix_arith::build_multiplier(
+            &lib,
+            aix_arith::MultiplierKind::Array,
+            ComponentSpec::full(width),
+        )
+        .unwrap()
+    }
+
+    fn aged_10y_worst(nl: &Netlist) -> NetDelays {
+        use aix_aging::{AgingModel, AgingScenario, Lifetime};
+        NetDelays::aged(
+            nl,
+            &AgingModel::calibrated(),
+            AgingScenario::worst_case(Lifetime::YEARS_10),
+        )
+    }
+
+    /// Pops every pending tick, returning each tick with its groups' nets
+    /// in list order.
+    fn drain(calendar: &mut Calendar) -> Vec<(u64, Vec<u32>)> {
+        let mut drained = Vec::new();
+        while let Some((tick, mut link)) = calendar.pop() {
+            let mut nets = Vec::new();
+            while link != NIL {
+                let group = calendar.release(link);
+                nets.push(group.net);
+                link = group.next;
+            }
+            drained.push((tick, nets));
+        }
+        drained
+    }
+
+    #[test]
+    fn ring_covers_the_largest_delay_within_its_cap() {
+        let ring = |max_delay, cap| Calendar::new(max_delay, cap).slot_mask + 1;
+        assert_eq!(ring(0, MAX_RING_BITS), 1 << MIN_RING_BITS);
+        assert_eq!(ring(64, MAX_RING_BITS), 128);
+        assert_eq!(ring(86_000, MAX_RING_BITS), 1 << 17);
+        assert_eq!(ring(97_000, MAX_RING_BITS), 1 << 17);
+        assert_eq!(ring(10_000_000, MAX_RING_BITS), 1 << MAX_RING_BITS);
+        assert_eq!(ring(u64::MAX, MAX_RING_BITS), 1 << MAX_RING_BITS);
+        assert_eq!(ring(86_000, 10), 1 << 10);
+    }
+
+    /// The wheel against an ordered-map model of the calendar it replaced:
+    /// random schedules from the tick being drained, zero-delay reinserts
+    /// and delays far past the horizon must pop the same ticks with the
+    /// same FIFO group order.
+    #[test]
+    fn calendar_matches_an_ordered_map_model() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        for ring_bits in [MIN_RING_BITS, 8, 12] {
+            let mut rng = StdRng::seed_from_u64(u64::from(ring_bits));
+            let mut calendar = Calendar::new(u64::MAX, ring_bits);
+            let horizon = calendar.slot_mask + 1;
+            let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            let mut next_net = 0u32;
+            let mut now = 0;
+            for pops in 0.. {
+                let fanout = if pops == 0 {
+                    8
+                } else if pops < 3000 {
+                    rng.gen_range(0..3)
+                } else {
+                    0
+                };
+                for _ in 0..fanout {
+                    let delay = match rng.gen_range(0..10) {
+                        0 => 0,
+                        1 => horizon - 1,
+                        2 => horizon,
+                        3 => rng.gen_range(horizon..40 * horizon),
+                        _ => rng.gen_range(1..horizon),
+                    };
+                    calendar.schedule(now + delay, next_net, 0, 1);
+                    model.entry(now + delay).or_default().push(next_net);
+                    next_net += 1;
+                }
+                let Some((tick, mut link)) = calendar.pop() else {
+                    break;
+                };
+                let (expected_tick, expected_nets) = model.pop_first().expect("model has events");
+                assert_eq!(tick, expected_tick, "ring {ring_bits}: pop {pops}");
+                let mut nets = Vec::new();
+                while link != NIL {
+                    let group = calendar.release(link);
+                    nets.push(group.net);
+                    link = group.next;
+                }
+                assert_eq!(nets, expected_nets, "ring {ring_bits}: tick {tick}");
+                now = tick;
+            }
+            assert!(model.is_empty(), "ring {ring_bits}: wheel lost events");
+            assert!(calendar.is_empty());
+            assert_eq!(calendar.now, 0, "a drained calendar rewinds to tick 0");
+        }
+    }
+
+    #[test]
+    fn zero_delay_reinsert_revisits_the_same_tick() {
+        let mut calendar = Calendar::new(1000, MAX_RING_BITS);
+        calendar.schedule(500, 1, 0, 1);
+        calendar.schedule(700, 2, 0, 1);
+        let (tick, link) = calendar.pop().unwrap();
+        assert_eq!(tick, 500);
+        assert_eq!(calendar.release(link).next, NIL);
+        calendar.schedule(500, 3, 0, 1);
+        calendar.schedule(500, 4, 0, 1);
+        assert_eq!(
+            drain(&mut calendar),
+            vec![(500, vec![3, 4]), (700, vec![2])]
+        );
+    }
+
+    #[test]
+    fn overflow_groups_keep_their_place_at_the_horizon_edge() {
+        // From tick 0, ticks R and 2R − 1 lie beyond a ring of R slots.
+        // Once the cursor reaches R, 2R − 1 is the ring's last slot, and a
+        // group scheduled there from R queues behind the one waiting since
+        // tick 0.
+        let mut calendar = Calendar::new(0, MIN_RING_BITS);
+        let ring = calendar.slot_mask + 1;
+        calendar.schedule(ring, 1, 0, 1);
+        calendar.schedule(2 * ring - 1, 2, 0, 1);
+        let (tick, link) = calendar.pop().unwrap();
+        assert_eq!((tick, calendar.release(link).net), (ring, 1));
+        calendar.schedule(2 * ring - 1, 3, 0, 1);
+        assert_eq!(drain(&mut calendar), vec![(2 * ring - 1, vec![2, 3])]);
+    }
+
+    #[test]
+    fn zero_delay_nets_match_scalar() {
+        let nl = adder(AdderKind::RippleCarry, 8);
+        let fresh = NetDelays::fresh(&nl);
+        let clock = analyze(&nl, &fresh).unwrap().max_delay_ps() * 0.5;
+        // Every other net switches in zero time, so events reinsert into
+        // the tick being drained; all-zero delays settle within tick 0.
+        let mixed: Vec<f64> = fresh
+            .as_slice()
+            .iter()
+            .enumerate()
+            .map(|(net, &d)| if net % 2 == 0 { 0.0 } else { d })
+            .collect();
+        let zero = vec![0.0; fresh.as_slice().len()];
+        for delays in [mixed, zero] {
+            let vectors: Vec<Vec<bool>> = UniformOperands::new(8, 21).vectors(130).collect();
+            assert_stream_matches_scalar(&nl, &NetDelays::from_raw(delays), clock, vectors);
+        }
+    }
+
+    #[test]
+    fn event_beyond_the_horizon_matches_scalar() {
+        let mut calendar = Calendar::new(u64::MAX, MAX_RING_BITS);
+        let far = 5 << MAX_RING_BITS;
+        calendar.schedule(far, 1, 0, 1);
+        calendar.schedule(10, 2, 0, 1);
+        let (tick, link) = calendar.pop().unwrap();
+        assert_eq!((tick, calendar.release(link).net), (10, 2));
+        // Scheduled from tick 10, `far` is still beyond the horizon; it
+        // keeps its place ahead of the same-tick group scheduled once the
+        // ring reaches it.
+        calendar.schedule(far, 3, 0, 1);
+        calendar.schedule(far - 1, 4, 0, 1);
+        assert_eq!(calendar.overflow.len(), 3);
+        assert_eq!(
+            drain(&mut calendar),
+            vec![(far - 1, vec![4]), (far, vec![1, 3])]
+        );
+
+        // One sum bit of an adder arrives a microsecond late: the ring stays
+        // capped and the event waits in the overflow heap.
+        let nl = adder(AdderKind::KoggeStone, 8);
+        let mut raw = NetDelays::fresh(&nl).as_slice().to_vec();
+        let (_, slow) = nl.outputs()[3];
+        raw[slow.index()] = 1.0e6;
+        let delays = NetDelays::from_raw(raw);
+        let clock = analyze(&nl, &NetDelays::fresh(&nl)).unwrap().max_delay_ps();
+        let sim = PackedTimedSimulator::new(&nl, &delays).unwrap();
+        assert_eq!(sim.calendar.slot_mask + 1, 1 << MAX_RING_BITS);
+        let vectors: Vec<Vec<bool>> = UniformOperands::new(8, 5).vectors(150).collect();
+        assert_stream_matches_scalar(&nl, &delays, clock, vectors);
+    }
+
+    #[test]
+    fn steps_spanning_many_revolutions_match_scalar() {
+        // A ripple-carry-32 settles over hundreds of picoseconds, so at the
+        // minimum ring (64 ticks) every event starts in the overflow heap
+        // and a step wraps the ring thousands of times; at 2^12 ticks the
+        // short delays fit the ring and the long ones overflow.
+        let nl = adder(AdderKind::RippleCarry, 32);
+        let aged = aged_10y_worst(&nl);
+        let clock = analyze(&nl, &NetDelays::fresh(&nl)).unwrap().max_delay_ps();
+        let vectors: Vec<Vec<bool>> = UniformOperands::new(32, 17).vectors(130).collect();
+        let natural = assert_ring_matches_scalar(&nl, &aged, clock, vectors.clone(), MAX_RING_BITS);
+        for ring_bits in [MIN_RING_BITS, 12] {
+            let capped = assert_ring_matches_scalar(&nl, &aged, clock, vectors.clone(), ring_bits);
+            assert_eq!(capped, natural, "ring 2^{ring_bits} changed the work done");
+        }
+        let mut sim = PackedTimedSimulator::with_max_ring_bits(&nl, &aged, MIN_RING_BITS).unwrap();
+        let out = sim.step_stream_batch(&vectors[..64], clock).unwrap();
+        let settle = (0..64).map(|lane| out.settle_ps(lane)).fold(0.0, f64::max);
+        assert!(
+            ps_to_ticks(settle) > 100 << MIN_RING_BITS,
+            "settle at {settle} ps spans too few revolutions"
+        );
+    }
+
+    #[test]
+    fn reset_after_a_step_leaves_nothing_pending() {
+        let nl = adder(AdderKind::RippleCarry, 8);
+        let delays = NetDelays::fresh(&nl);
+        let vectors: Vec<Vec<bool>> = UniformOperands::new(8, 4).vectors(64).collect();
+        let mut sim = PackedTimedSimulator::new(&nl, &delays).unwrap();
+        let first = sim.step_stream_batch(&vectors, 50.0).unwrap();
+        sim.reset();
+        assert!(sim.calendar.is_empty());
+        // Events left behind mid-stream are dropped too.
+        sim.schedule_event(0, !0, !0, 1 << 40);
+        sim.schedule_event(1, !0, !0, 7);
+        sim.reset();
+        assert!(sim.calendar.is_empty());
+        assert_eq!(sim.calendar.now, 0);
+        sim.values.fill(0);
+        sim.scheduled.fill(0);
+        sim.prev_bits.fill(0);
+        assert_eq!(sim.step_stream_batch(&vectors, 50.0).unwrap(), first);
+    }
+
+    /// Event groups applied on two fixed cases, recorded before the
+    /// calendar became a timing wheel: a calendar change must not alter
+    /// the work the engine does.
+    #[test]
+    fn event_group_work_is_pinned() {
+        let count = |nl: &Netlist, width: usize| {
+            let clock = analyze(nl, &NetDelays::fresh(nl)).unwrap().max_delay_ps();
+            let aged = aged_10y_worst(nl);
+            let vectors: Vec<Vec<bool>> = UniformOperands::new(width, 7).vectors(256).collect();
+            let mut sim = PackedTimedSimulator::new(nl, &aged).unwrap();
+            for chunk in vectors.chunks(LANES) {
+                sim.step_stream_batch(chunk, clock).unwrap();
+            }
+            sim.groups_applied
+        };
+        assert_eq!(count(&adder(AdderKind::KoggeStone, 32), 32), 6950);
+        assert_eq!(count(&multiplier(16), 16), 16424);
     }
 }

@@ -253,6 +253,116 @@ fn timed_engines_agree_per_vector_fresh_and_aged() {
     }
 }
 
+/// Seeded per-gate delay variation on top of 10-year worst-case aging:
+/// every gate's delay scales by its own factor in [0.8, 1.25], so lanes
+/// stop sharing event ticks and glitches multiply — the regime of
+/// `verify`'s Monte-Carlo cross-checks.
+fn perturbed_aged_delays(netlist: &Netlist, seed: u64) -> NetDelays {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let factors: Vec<f64> = (0..netlist.gate_count())
+        .map(|_| rng.gen_range(0.8..1.25))
+        .collect();
+    NetDelays::aged(
+        netlist,
+        &AgingModel::calibrated(),
+        AgingScenario::worst_case(Lifetime::YEARS_10),
+    )
+    .scaled_by_gate(netlist, |gate| factors[gate])
+}
+
+/// Glitch-heavy stream-batch differential: per-gate perturbed aged delays
+/// on an adder and a multiplier, clocked at the fresh critical path.
+#[test]
+fn timed_engines_agree_under_per_gate_perturbation() {
+    let lib = cells();
+    let components = [
+        (
+            "adder-16 (kogge-stone)",
+            build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(16)).unwrap(),
+            400,
+        ),
+        (
+            "multiplier-8 (array)",
+            build_multiplier(&lib, MultiplierKind::Array, ComponentSpec::full(8)).unwrap(),
+            200,
+        ),
+    ];
+    for (index, (name, netlist, count)) in components.iter().enumerate() {
+        let clock = analyze(netlist, &NetDelays::fresh(netlist))
+            .expect("acyclic netlist")
+            .max_delay_ps();
+        let vectors = stimuli(netlist, *count, 600 + index as u64);
+        for seed in [1u64, 2, 3] {
+            assert_timed_engines_agree(
+                &format!("{name} perturbed seed {seed}"),
+                netlist,
+                &perturbed_aged_delays(netlist, seed),
+                clock,
+                &vectors,
+            );
+        }
+    }
+}
+
+/// Streams-mode differential on an aged multiplier: 64 independent
+/// operand streams, each checked against its own scalar simulator, with
+/// the clock short enough that lanes latch errors.
+#[test]
+fn timed_streams_agree_per_lane_on_aged_multiplier() {
+    let lib = cells();
+    let netlist = build_multiplier(&lib, MultiplierKind::Array, ComponentSpec::full(8)).unwrap();
+    let clock = analyze(&netlist, &NetDelays::fresh(&netlist))
+        .expect("acyclic netlist")
+        .max_delay_ps()
+        * 0.9;
+    let delays = NetDelays::aged(
+        &netlist,
+        &AgingModel::calibrated(),
+        AgingScenario::worst_case(Lifetime::from_years(20.0)),
+    );
+    let steps = 10;
+    let streams: Vec<Vec<Vec<bool>>> = (0..aix::sim::LANES as u64)
+        .map(|lane| stimuli(&netlist, steps, 700 + lane))
+        .collect();
+    let mut scalars: Vec<TimedSimulator> = streams
+        .iter()
+        .map(|_| TimedSimulator::new(&netlist, &delays).expect("scalar timed simulator"))
+        .collect();
+    let mut packed = PackedTimedSimulator::new(&netlist, &delays).expect("packed timed simulator");
+    let mut error_lanes = 0;
+    for step in 0..steps {
+        let batch: Vec<Vec<bool>> = streams.iter().map(|s| s[step].clone()).collect();
+        let outcome = packed
+            .step_streams(&batch, clock)
+            .expect("packed timed step");
+        for (lane, scalar) in scalars.iter_mut().enumerate() {
+            let expected = scalar.step(&batch[lane], clock).expect("scalar timed step");
+            assert_eq!(
+                outcome.outcome_for_lane(lane),
+                expected,
+                "multiplier-8 streams: step {step} lane {lane} diverges"
+            );
+        }
+        error_lanes += outcome.error_lanes().count_ones();
+    }
+    assert!(
+        error_lanes > 0,
+        "the clock must be short enough to cause errors"
+    );
+    let mut totals = vec![0u64; netlist.net_count()];
+    for scalar in &scalars {
+        for (total, &count) in totals.iter_mut().zip(scalar.transition_counts()) {
+            *total += count;
+        }
+    }
+    assert_eq!(
+        packed.transition_counts(),
+        &totals[..],
+        "per-net transition counts diverge"
+    );
+}
+
 /// Lane-tail vector counts around the 64-lane word boundary for the timed
 /// engine, on an aged netlist so violations are actually in play.
 #[test]
