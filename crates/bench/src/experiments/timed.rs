@@ -114,9 +114,9 @@ pub fn run(options: &Options) -> String {
     out.push_str(&table.render());
     let _ = writeln!(
         out,
-        "\nexpected shape: packed >= 10x scalar on event-driven simulation\n\
-         (>= 4x on constrained CI runners); both engines byte-identical\n\
-         (`yes`) per vector. Records appended to {}.",
+        "\nexpected shape: packed 9-10x scalar on adder-32 and 24-28x on\n\
+         multiplier-32 (>= 4x on constrained CI runners); both engines\n\
+         byte-identical (`yes`) per vector. Records appended to {}.",
         bench_path.display()
     );
     out

@@ -383,21 +383,37 @@ where
     let slots: Vec<Mutex<Option<R>>> = queue.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= queue.len() {
-                    break;
-                }
-                let item = queue[index]
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .take()
-                    .expect("each item is claimed exactly once");
-                *slots[index]
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(run(item));
-            });
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= queue.len() {
+                        break;
+                    }
+                    let item = queue[index]
+                        .lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner())
+                        .take()
+                        .expect("each item is claimed exactly once");
+                    *slots[index]
+                        .lock()
+                        .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(run(item));
+                })
+            })
+            .collect();
+        // Join every worker explicitly: the scope's implicit join returns
+        // once the closures finish, before the threads have exited and
+        // handed their malloc arenas back. A pool spawned right after would
+        // then find no free arena and create another, and each extra arena
+        // keeps megabytes of freed memory resident.
+        let mut panic = None;
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
         }
     });
     slots
@@ -1351,6 +1367,30 @@ mod tests {
         }
         let empty: Vec<i32> = parallel_map(4, Vec::new(), |x: i32| x);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn parallel_map_propagates_a_worker_panic_after_all_workers_stop() {
+        let finished = AtomicUsize::new(0);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_map(2, (0..20).collect(), |x: i32| {
+                if x == 3 {
+                    panic!("job {x} failed");
+                }
+                finished.fetch_add(1, Ordering::Relaxed);
+                x
+            })
+        }));
+        let payload = outcome.expect_err("the job panic propagates");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("job 3 failed")
+        );
+        assert_eq!(
+            finished.load(Ordering::Relaxed),
+            19,
+            "the other worker drains the queue"
+        );
     }
 
     #[test]

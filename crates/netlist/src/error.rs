@@ -49,6 +49,16 @@ pub enum NetlistError {
         /// The rejected delay value, rendered as text.
         delay: String,
     },
+    /// A resize asked a gate to take a cell of a different logic function.
+    /// Only drive strength may change in place.
+    CellFunctionMismatch {
+        /// The gate being resized.
+        gate: GateId,
+        /// Name of the gate's current cell.
+        current: String,
+        /// Name of the rejected replacement cell.
+        requested: String,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -82,6 +92,15 @@ impl fmt::Display for NetlistError {
             NetlistError::InvalidDelay { net, delay } => write!(
                 f,
                 "net {net} has invalid delay annotation {delay} ps (must be finite and >= 0)"
+            ),
+            NetlistError::CellFunctionMismatch {
+                gate,
+                current,
+                requested,
+            } => write!(
+                f,
+                "gate {gate} cannot be resized from `{current}` to `{requested}`: \
+                 the cells implement different functions"
             ),
         }
     }

@@ -30,7 +30,7 @@ impl Schedule {
     }
 
     /// Evaluation order as [`GateId`]s.
-    pub fn gate_order(&self) -> impl Iterator<Item = GateId> + '_ {
+    pub fn gate_order(&self) -> impl DoubleEndedIterator<Item = GateId> + '_ {
         self.order.iter().map(|&g| GateId(g))
     }
 

@@ -53,6 +53,8 @@ pub use import::{
     import_edif, import_edif_with, import_netlist, import_verilog, import_verilog_with,
     CellAliases, ImportError, ImportFormat, Loc,
 };
-pub use netlist::{Gate, GateId, Net, NetDriver, NetId, Netlist, PortDirection};
+pub use netlist::{
+    Gate, GateId, Net, NetDriver, NetId, Netlist, PortDirection, OUTPUT_PORT_LOAD_FF,
+};
 pub use stats::NetlistStats;
 pub use verilog::to_verilog;

@@ -5,6 +5,10 @@ use aix_cells::{CellId, Library};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+/// Capacitive load of one primary-output port, in femtofarads (see
+/// [`Netlist::net_loads_ff`]).
+pub const OUTPUT_PORT_LOAD_FF: f64 = 2.0;
+
 /// Index of a net (wire) within a [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub(crate) u32);
@@ -322,6 +326,34 @@ impl Netlist {
         &mut self.gates[id.index()]
     }
 
+    /// Swaps gate `id` onto `cell`, which must implement the same logic
+    /// function as its current cell (a drive-strength change). Pins and
+    /// connectivity are untouched, so the cached [`schedule`](Self::schedule)
+    /// stays valid — unlike [`gate_mut`](Self::gate_mut), which may rewire.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CellFunctionMismatch`] if `cell` implements a
+    /// different function; the gate is left unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range or `cell` is not in the library.
+    pub fn resize_gate(&mut self, id: GateId, cell: CellId) -> Result<(), NetlistError> {
+        let gate = &mut self.gates[id.index()];
+        let current = self.library.cell(gate.cell);
+        let requested = self.library.cell(cell);
+        if current.function != requested.function {
+            return Err(NetlistError::CellFunctionMismatch {
+                gate: id,
+                current: current.name.clone(),
+                requested: requested.name.clone(),
+            });
+        }
+        gate.cell = cell;
+        Ok(())
+    }
+
     /// The net with the given id.
     ///
     /// # Panics
@@ -429,7 +461,7 @@ impl Netlist {
     /// The levelized evaluation schedule, computed once per topology and
     /// shared (via `Arc`) by every evaluator. Mutating the topology with
     /// [`add_gate`](Self::add_gate) or [`gate_mut`](Self::gate_mut)
-    /// invalidates the cache.
+    /// invalidates the cache; [`resize_gate`](Self::resize_gate) keeps it.
     ///
     /// # Errors
     ///
@@ -457,7 +489,6 @@ impl Netlist {
     /// Capacitive load on each net in femtofarads: the sum of the input-pin
     /// capacitances of all sinks, plus a fixed port load for primary outputs.
     pub fn net_loads_ff(&self) -> Vec<f64> {
-        const OUTPUT_PORT_LOAD_FF: f64 = 2.0;
         let mut loads = vec![0.0; self.nets.len()];
         for (_, gate) in self.gates() {
             let cap = self.library.cell(gate.cell).input_cap_ff;
@@ -603,6 +634,43 @@ mod tests {
         nl.mark_output("cout", out[1]);
         nl.validate().unwrap();
         assert_eq!(nl.eval(&[true, true, true]).unwrap(), vec![true, true]);
+    }
+
+    #[test]
+    fn resize_gate_keeps_the_schedule_and_rejects_other_functions() {
+        let lib = lib();
+        let mut nl = Netlist::new("resize", lib.clone());
+        let a = nl.add_input("a");
+        let inv = cell(&lib, CellFunction::Inv);
+        let x = nl.add_gate(inv, &[a]).unwrap();
+        nl.mark_output("y", x[0]);
+        let gate = GateId(0);
+        let before = nl.schedule().unwrap();
+
+        let stronger = lib.upsize(inv).unwrap();
+        nl.resize_gate(gate, stronger).unwrap();
+        assert_eq!(nl.gate(gate).cell, stronger);
+        assert!(
+            Arc::ptr_eq(&before, &nl.schedule().unwrap()),
+            "resize keeps the schedule"
+        );
+
+        let buf = cell(&lib, CellFunction::Buf);
+        let err = nl.resize_gate(gate, buf).unwrap_err();
+        assert!(matches!(err, NetlistError::CellFunctionMismatch { gate: g, .. } if g == gate));
+        assert!(err.to_string().contains("different functions"), "{err}");
+        assert_eq!(
+            nl.gate(gate).cell,
+            stronger,
+            "a rejected resize changes nothing"
+        );
+        assert!(Arc::ptr_eq(&before, &nl.schedule().unwrap()));
+
+        nl.gate_mut(gate).cell = inv;
+        assert!(
+            !Arc::ptr_eq(&before, &nl.schedule().unwrap()),
+            "gate_mut still invalidates the schedule"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Arrival-time propagation and critical-path extraction.
 
 use crate::NetDelays;
-use aix_netlist::{GateId, NetDriver, NetId, Netlist, NetlistError};
+use aix_netlist::{Gate, GateId, NetDriver, NetId, Netlist, NetlistError};
 
 /// Result of a static timing analysis.
 ///
@@ -44,62 +44,83 @@ impl TimingReport {
     }
 }
 
-/// Runs STA: propagates arrival times in topological order and records the
-/// critical (maximum) delay over all primary outputs.
+/// Runs STA: propagates arrival times in the netlist's cached schedule
+/// order and records the critical (maximum) delay over all primary
+/// outputs. Every arrival is a function of its gate's inputs alone, so any
+/// topological order yields the same bits.
 ///
 /// # Errors
 ///
 /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists.
 pub fn analyze(netlist: &Netlist, delays: &NetDelays) -> Result<TimingReport, NetlistError> {
-    let order = netlist.topological_order()?;
+    let schedule = netlist.schedule()?;
     let mut arrival = vec![0.0f64; netlist.net_count()];
-    for gate_id in order {
+    for gate_id in schedule.gate_order() {
         let gate = netlist.gate(gate_id);
-        let input_arrival = gate
-            .inputs
-            .iter()
-            .map(|n| arrival[n.index()])
-            .fold(0.0f64, f64::max);
+        let input_arrival = latest_input_ps(gate, &arrival);
         for &out in &gate.outputs {
             arrival[out.index()] = input_arrival + delays.of(out.index());
         }
     }
-    let per_output: Vec<f64> = netlist
-        .outputs()
-        .iter()
-        .map(|(_, net)| arrival[net.index()])
-        .collect();
-    // Seed with the first output so a netlist whose outputs all arrive at
-    // exactly 0 ps (pass-through or constant outputs) still reports a
-    // critical output; ties keep the earliest port. An outputless netlist
-    // reports `None` and a 0 ps delay.
-    let (critical_output, max_delay) = per_output.iter().enumerate().fold(
-        (None, 0.0f64),
-        |(best, max), (i, &t)| {
-            if best.is_none() || t > max {
-                (Some(i), t)
-            } else {
-                (best, max)
-            }
-        },
-    );
-    Ok(TimingReport {
+    let mut report = TimingReport {
         arrival_ps: arrival,
-        max_delay_ps: max_delay,
-        critical_output,
-        per_output_ps: per_output,
-    })
+        max_delay_ps: 0.0,
+        critical_output: None,
+        per_output_ps: Vec::with_capacity(netlist.outputs().len()),
+    };
+    report.summarize_outputs(netlist);
+    Ok(report)
+}
+
+/// The latest arrival over `gate`'s inputs (0 ps for a gate with none).
+pub(crate) fn latest_input_ps(gate: &Gate, arrival_ps: &[f64]) -> f64 {
+    gate.inputs
+        .iter()
+        .map(|n| arrival_ps[n.index()])
+        .fold(0.0f64, f64::max)
+}
+
+impl TimingReport {
+    /// Re-derives the per-output arrivals, the maximum delay and the
+    /// critical output from the per-net arrivals.
+    pub(crate) fn summarize_outputs(&mut self, netlist: &Netlist) {
+        self.per_output_ps.clear();
+        self.per_output_ps.extend(
+            netlist
+                .outputs()
+                .iter()
+                .map(|(_, net)| self.arrival_ps[net.index()]),
+        );
+        // Seed with the first output so a netlist whose outputs all arrive
+        // at exactly 0 ps (pass-through or constant outputs) still reports
+        // a critical output; ties keep the earliest port. An outputless
+        // netlist reports `None` and a 0 ps delay.
+        let (critical_output, max_delay_ps) =
+            self.per_output_ps
+                .iter()
+                .enumerate()
+                .fold((None, 0.0f64), |(best, max), (i, &t)| {
+                    if best.is_none() || t > max {
+                        (Some(i), t)
+                    } else {
+                        (best, max)
+                    }
+                });
+        self.critical_output = critical_output;
+        self.max_delay_ps = max_delay_ps;
+    }
+
+    /// Mutable per-net arrivals, for the incremental timer.
+    pub(crate) fn arrivals_mut(&mut self) -> &mut [f64] {
+        &mut self.arrival_ps
+    }
 }
 
 /// Extracts the gates along the critical path, inputs first.
 ///
 /// Walks back from the latest-arriving output through, at every gate, the
-/// input whose arrival time dominates.
-pub fn critical_path(
-    netlist: &Netlist,
-    delays: &NetDelays,
-    report: &TimingReport,
-) -> Vec<GateId> {
+/// input whose arrival time dominates (the last such input on a tie).
+pub fn critical_path(netlist: &Netlist, report: &TimingReport) -> Vec<GateId> {
     let Some(out_idx) = report.critical_output() else {
         return Vec::new();
     };
@@ -117,7 +138,6 @@ pub fn critical_path(
         };
         net = next;
     }
-    let _ = delays;
     path.reverse();
     path
 }
@@ -205,7 +225,7 @@ mod tests {
         assert_eq!(report.max_delay_ps(), 0.0);
         assert_eq!(report.critical_output(), Some(0), "ties keep the first port");
         // No gates on the path, but the output itself is identified.
-        assert!(critical_path(&nl, &delays, &report).is_empty());
+        assert!(critical_path(&nl, &report).is_empty());
     }
 
     #[test]
@@ -247,7 +267,7 @@ mod tests {
             build_multiplier(&lib, MultiplierKind::Array, ComponentSpec::full(8)).unwrap();
         let delays = NetDelays::fresh(&nl);
         let report = analyze(&nl, &delays).unwrap();
-        let path = critical_path(&nl, &delays, &report);
+        let path = critical_path(&nl, &report);
         assert!(!path.is_empty());
         // Each consecutive pair must be connected.
         for pair in path.windows(2) {
@@ -292,7 +312,7 @@ mod tests {
         let model = AgingModel::calibrated();
         let fresh_delays = NetDelays::fresh(&nl);
         let fresh = analyze(&nl, &fresh_delays).unwrap();
-        let path = critical_path(&nl, &fresh_delays, &fresh);
+        let path = critical_path(&nl, &fresh);
         let mut pairs = vec![StressPair::default(); nl.gate_count()];
         for g in &path {
             pairs[g.index()] = StressPair::WORST;

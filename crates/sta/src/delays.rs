@@ -29,6 +29,14 @@ impl StressSource {
     }
 }
 
+/// The delay of one output arc of `cell` driving `load_ff`, derated by the
+/// driving gate's aging `factor` (clamped to at least 1: aging never speeds
+/// a gate up). The one per-net formula behind [`NetDelays::fresh`],
+/// [`NetDelays::aged`] and the incremental timer.
+pub(crate) fn arc_delay_ps(cell: &aix_cells::Cell, load_ff: f64, factor: f64) -> f64 {
+    cell.aged_delay_ps(load_ff, factor.max(1.0))
+}
+
 /// The propagation delay contributed by the driver of each net, in
 /// picoseconds. Primary inputs and constants contribute zero.
 ///
@@ -43,7 +51,7 @@ pub struct NetDelays {
 impl NetDelays {
     /// Fresh (design-time) delays: the synthesis-library view.
     pub fn fresh(netlist: &Netlist) -> Self {
-        Self::build(netlist, |_gate_index, _cell| 1.0)
+        Self::build(netlist, &netlist.net_loads_ff(), |_gate_index, _cell| 1.0)
     }
 
     /// Delays under a uniform aging scenario evaluated analytically from
@@ -71,7 +79,7 @@ impl NetDelays {
     ) -> Self {
         // `build` applies the cell's BTI sensitivity via `aged_delay_ps`;
         // the closure supplies the raw physics factor.
-        Self::build(netlist, |gate_index, _cell| {
+        Self::build(netlist, &netlist.net_loads_ff(), |gate_index, _cell| {
             model.pair_delay_factor(stress.pair_for(gate_index), lifetime)
         })
     }
@@ -136,18 +144,28 @@ impl NetDelays {
         Self { delays_ps: delays }
     }
 
-    fn build(netlist: &Netlist, factor: impl Fn(usize, &aix_cells::Cell) -> f64) -> Self {
+    /// Derives every gate-driven net's delay from its per-net `loads` and
+    /// its driver's `factor`.
+    pub(crate) fn build(
+        netlist: &Netlist,
+        loads: &[f64],
+        factor: impl Fn(usize, &aix_cells::Cell) -> f64,
+    ) -> Self {
         let mut delays = vec![0.0; netlist.net_count()];
-        let loads = netlist.net_loads_ff();
         for (id, net) in netlist.nets() {
             if let NetDriver::Gate { gate, .. } = net.driver {
                 let g = netlist.gate(gate);
                 let cell = netlist.library().cell(g.cell);
                 delays[id.index()] =
-                    cell.aged_delay_ps(loads[id.index()], factor(gate.index(), cell).max(1.0));
+                    arc_delay_ps(cell, loads[id.index()], factor(gate.index(), cell));
             }
         }
         Self { delays_ps: delays }
+    }
+
+    /// Mutable per-net delays, for the incremental timer's in-place updates.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.delays_ps
     }
 
     /// Builds an annotation directly from per-net delays (indexed by net

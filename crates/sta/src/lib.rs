@@ -6,6 +6,8 @@
 //! case* stress extracted from switching activity. This is the Rust
 //! counterpart of running Synopsys STA with the degradation-aware cell
 //! library, the workhorse of the paper's characterization flow.
+//! [`IncrementalTimer`] keeps the same analysis current, bit for bit,
+//! while synthesis resizes gates one move at a time.
 //!
 //! # Examples
 //!
@@ -31,12 +33,14 @@
 
 mod analysis;
 mod delays;
+mod incremental;
 mod required;
 mod sdf;
 mod slack;
 
 pub use analysis::{analyze, critical_path, TimingReport};
 pub use delays::{NetDelays, StressSource};
+pub use incremental::IncrementalTimer;
 pub use required::SlackReport;
 pub use sdf::to_sdf;
 pub use slack::ClockConstraint;

@@ -49,8 +49,8 @@ impl SlackReport {
         for (_, net) in netlist.outputs() {
             required[net.index()] = required[net.index()].min(clock_ps);
         }
-        let order = netlist.topological_order()?;
-        for gate_id in order.into_iter().rev() {
+        let schedule = netlist.schedule()?;
+        for gate_id in schedule.gate_order().rev() {
             let gate = netlist.gate(gate_id);
             // Required time at the gate's inputs: the tightest output
             // requirement minus that output's arc delay.

@@ -9,7 +9,10 @@
 //!   shortens the component's critical path (the mechanism Eq. 2 exploits).
 //! * [`size_for_performance`] — greedy critical-path drive-strength
 //!   upsizing, the timing-driven optimization that gives highly optimized
-//!   netlists their near-critical "slack wall".
+//!   netlists their near-critical "slack wall". It and [`recover_area`]
+//!   time every gate move with one [`aix_sta::IncrementalTimer`].
+//! * [`compile`] — the "ultra compile" recipe: cleanup, sizing, area
+//!   recovery and validation, shared by every synthesized netlist.
 //! * [`Synthesizer`] — effort-driven mapping of adders/multipliers/MACs to
 //!   architectures, composing generation, optimization and sizing.
 //! * [`aging_aware_synthesize`] — the DAC'16 baseline: re-size cells using
@@ -41,4 +44,4 @@ mod synthesizer;
 pub use aging_aware::{aging_aware_synthesize, AgingAwareOutcome};
 pub use opt::{constant_propagation, optimize, sweep_dead_gates};
 pub use sizing::{recover_area, size_for_performance, RecoveryOutcome, SizingOutcome};
-pub use synthesizer::{Effort, ParseEffortError, Synthesizer};
+pub use synthesizer::{compile, Effort, ParseEffortError, Synthesizer};

@@ -1,8 +1,7 @@
 //! Timing-driven drive-strength sizing.
 
 use aix_netlist::{Netlist, NetlistError};
-use aix_sta::{analyze, critical_path, NetDelays, SlackReport};
-
+use aix_sta::{critical_path, IncrementalTimer, SlackReport};
 
 /// Result of a sizing run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,8 +23,8 @@ impl SizingOutcome {
     }
 }
 
-/// Greedily upsizes gates on the (fresh) critical path until no move
-/// improves the critical-path delay.
+/// Greedily upsizes gates on the critical path until no move improves the
+/// critical-path delay.
 ///
 /// This models the timing-driven optimization of a high-effort synthesis
 /// run. A side effect — important for the paper's motivational study — is
@@ -33,29 +32,29 @@ impl SizingOutcome {
 /// end up within a few percent of the critical delay, so aging-induced
 /// violations are actually exercised by real stimuli.
 ///
-/// `delay_fn` produces the delay annotation to optimize against (fresh for
-/// ordinary synthesis, aged for the aging-aware baseline).
+/// `factor(gate_index)` derates each gate's delays: 1.0 everywhere for
+/// ordinary (fresh) synthesis, the aged factor for the aging-aware
+/// baseline. Every move is timed by one [`IncrementalTimer`].
 ///
 /// # Errors
 ///
 /// Propagates STA errors (cyclic netlists).
 pub fn size_for_performance(
     netlist: &mut Netlist,
-    delay_fn: impl Fn(&Netlist) -> NetDelays,
+    factor: impl Fn(usize) -> f64,
     max_iterations: usize,
 ) -> Result<SizingOutcome, NetlistError> {
-    let delays = delay_fn(netlist);
-    let initial = analyze(netlist, &delays)?.max_delay_ps();
+    let mut timer = IncrementalTimer::new(netlist, factor)?;
+    let initial = timer.report().max_delay_ps();
     let mut current = initial;
     let mut upsized = 0usize;
     let mut iterations = 0usize;
     // Gates proven unhelpful to upsize (reverted moves).
-    let mut locked = vec![false; netlist.gate_count()];
+    let mut locked = vec![false; timer.netlist().gate_count()];
     while iterations < max_iterations {
         iterations += 1;
-        let delays = delay_fn(netlist);
-        let report = analyze(netlist, &delays)?;
-        let path = critical_path(netlist, &delays, &report);
+        let netlist = timer.netlist();
+        let path = critical_path(netlist, timer.report());
         // Candidate: the path gate with the largest arc delay that can
         // still be upsized and is not locked.
         let mut candidate = None;
@@ -68,28 +67,27 @@ pub fn size_for_performance(
             let arc: f64 = gate
                 .outputs
                 .iter()
-                .map(|n| delays.of(n.index()))
+                .map(|n| timer.delays().of(n.index()))
                 .fold(0.0, f64::max);
-            if arc > worst && netlist.library().upsize(gate.cell).is_some() {
-                worst = arc;
-                candidate = Some(gate_id);
+            if arc > worst {
+                if let Some(stronger) = netlist.library().upsize(gate.cell) {
+                    worst = arc;
+                    candidate = Some((gate_id, gate.cell, stronger));
+                }
             }
         }
-        let Some(gate_id) = candidate else { break };
-        let old_cell = netlist.gate(gate_id).cell;
-        let new_cell = netlist
-            .library()
-            .upsize(old_cell)
-            .expect("candidate filter guarantees an upsize exists");
-        netlist.gate_mut(gate_id).cell = new_cell;
-        let new_delay = analyze(netlist, &delay_fn(netlist))?.max_delay_ps();
+        let Some((gate_id, old_cell, new_cell)) = candidate else {
+            break;
+        };
+        timer.resize_gate(gate_id, new_cell)?;
+        let new_delay = timer.report().max_delay_ps();
         if new_delay < current - 1e-9 {
             current = new_delay;
             upsized += 1;
         } else {
             // Revert: upsizing here hurt (input capacitance outweighed
             // drive) or did not help.
-            netlist.gate_mut(gate_id).cell = old_cell;
+            timer.resize_gate(gate_id, old_cell)?;
             locked[gate_id.index()] = true;
         }
     }
@@ -123,26 +121,28 @@ pub struct RecoveryOutcome {
 /// The pass runs in rounds: each round computes per-net slack against
 /// `target_ps`, downsizes every gate whose arc slack safely covers the
 /// delay increase, then verifies the critical path; a round that overshoots
-/// is rolled back gate-by-gate.
+/// is rolled back gate-by-gate. `factor` derates gate delays as in
+/// [`size_for_performance`]; one [`IncrementalTimer`] times every move.
 ///
 /// # Errors
 ///
 /// Propagates STA errors (cyclic netlists).
 pub fn recover_area(
     netlist: &mut Netlist,
-    delay_fn: impl Fn(&Netlist) -> NetDelays,
+    factor: impl Fn(usize) -> f64,
     target_ps: f64,
     max_rounds: usize,
 ) -> Result<RecoveryOutcome, NetlistError> {
     let area_before = netlist.stats().area_um2;
+    let mut timer = IncrementalTimer::new(netlist, factor)?;
     let mut downsized = 0usize;
     for _ in 0..max_rounds {
-        let delays = delay_fn(netlist);
-        let report = analyze(netlist, &delays)?;
-        if report.max_delay_ps() > target_ps {
+        if timer.report().max_delay_ps() > target_ps {
             break;
         }
-        let slack = SlackReport::compute(netlist, &delays, &report, target_ps)?;
+        let netlist = timer.netlist();
+        let slack = SlackReport::compute(netlist, timer.delays(), timer.report(), target_ps)?;
+        let loads = timer.loads_ff();
         // Candidate gates: every output arc has enough slack to absorb a
         // conservative estimate of the downsizing penalty.
         let mut moved = Vec::new();
@@ -150,7 +150,6 @@ pub fn recover_area(
             let Some(weaker) = netlist.library().downsize(gate.cell) else {
                 continue;
             };
-            let loads = netlist.net_loads_ff();
             let old_cell = netlist.library().cell(gate.cell);
             let new_cell = netlist.library().cell(weaker);
             let worst_penalty = gate
@@ -173,27 +172,25 @@ pub fn recover_area(
         if moved.is_empty() {
             break;
         }
-        for &(gate_id, _, weaker) in &moved {
-            netlist.gate_mut(gate_id).cell = weaker;
-        }
+        timer.resize_gates(moved.iter().map(|&(gate_id, _, weaker)| (gate_id, weaker)))?;
         // Roll back overshoots one gate at a time (rare thanks to the
         // safety factor).
-        while analyze(netlist, &delay_fn(netlist))?.max_delay_ps() > target_ps {
+        while timer.report().max_delay_ps() > target_ps {
             let Some((gate_id, original, _)) = moved.pop() else {
                 break;
             };
-            netlist.gate_mut(gate_id).cell = original;
+            timer.resize_gate(gate_id, original)?;
         }
         downsized += moved.len();
         if moved.is_empty() {
             break;
         }
     }
-    let final_delay = analyze(netlist, &delay_fn(netlist))?.max_delay_ps();
+    let final_delay = timer.report().max_delay_ps();
     Ok(RecoveryOutcome {
         downsized_gates: downsized,
         area_before_um2: area_before,
-        area_after_um2: netlist.stats().area_um2,
+        area_after_um2: timer.netlist().stats().area_um2,
         final_delay_ps: final_delay,
     })
 }
@@ -204,15 +201,17 @@ mod tests {
     use aix_arith::{build_adder, AdderKind, ComponentSpec};
     use aix_cells::Library;
     use aix_netlist::{bus_from_u64, bus_to_u64};
+    use aix_sta::{analyze, NetDelays};
     use std::sync::Arc;
+
+    const FRESH: fn(usize) -> f64 = |_| 1.0;
 
     #[test]
     fn sizing_improves_critical_path() {
         let lib = Arc::new(Library::nangate45_like());
         let mut nl =
             build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(16)).unwrap();
-        let outcome =
-            size_for_performance(&mut nl, NetDelays::fresh, 200).unwrap();
+        let outcome = size_for_performance(&mut nl, FRESH, 200).unwrap();
         assert!(outcome.final_delay_ps <= outcome.initial_delay_ps);
         assert!(
             outcome.improvement() > 0.02,
@@ -228,7 +227,7 @@ mod tests {
         let lib = Arc::new(Library::nangate45_like());
         let mut nl =
             build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(12)).unwrap();
-        size_for_performance(&mut nl, NetDelays::fresh, 100).unwrap();
+        size_for_performance(&mut nl, FRESH, 100).unwrap();
         nl.validate().unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..100 {
@@ -246,7 +245,7 @@ mod tests {
         let mut nl =
             build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(16)).unwrap();
         let before = nl.stats().area_um2;
-        size_for_performance(&mut nl, NetDelays::fresh, 200).unwrap();
+        size_for_performance(&mut nl, FRESH, 200).unwrap();
         assert!(nl.stats().area_um2 > before, "faster costs area");
     }
 
@@ -255,9 +254,9 @@ mod tests {
         let lib = Arc::new(Library::nangate45_like());
         let mut nl =
             build_adder(&lib, AdderKind::KoggeStone, ComponentSpec::full(16)).unwrap();
-        size_for_performance(&mut nl, NetDelays::fresh, 200).unwrap();
+        size_for_performance(&mut nl, FRESH, 200).unwrap();
         let target = analyze(&nl, &NetDelays::fresh(&nl)).unwrap().max_delay_ps();
-        let outcome = recover_area(&mut nl, NetDelays::fresh, target, 20).unwrap();
+        let outcome = recover_area(&mut nl, FRESH, target, 20).unwrap();
         assert!(outcome.downsized_gates > 0, "short paths must downsize");
         assert!(outcome.area_after_um2 < outcome.area_before_um2);
         assert!(outcome.final_delay_ps <= target + 1e-9);
@@ -270,7 +269,7 @@ mod tests {
         let mut nl =
             build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(12)).unwrap();
         let target = analyze(&nl, &NetDelays::fresh(&nl)).unwrap().max_delay_ps();
-        recover_area(&mut nl, NetDelays::fresh, target, 20).unwrap();
+        recover_area(&mut nl, FRESH, target, 20).unwrap();
         for (a, b) in [(0u64, 0u64), (4095, 1), (1234, 2345)] {
             let mut inputs = bus_from_u64(a, 12);
             inputs.extend(bus_from_u64(b, 12));
@@ -284,7 +283,7 @@ mod tests {
         let mut nl =
             build_adder(&lib, AdderKind::RippleCarry, ComponentSpec::full(8)).unwrap();
         let before = nl.clone();
-        let outcome = size_for_performance(&mut nl, NetDelays::fresh, 0).unwrap();
+        let outcome = size_for_performance(&mut nl, FRESH, 0).unwrap();
         assert_eq!(outcome.upsized_gates, 0);
         assert_eq!(outcome.initial_delay_ps, outcome.final_delay_ps);
         assert_eq!(before.gate_count(), nl.gate_count());
