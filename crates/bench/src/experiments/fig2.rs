@@ -25,7 +25,8 @@ pub fn run(options: &Options) -> String {
         out,
         "Fig. 2 — gate-level DCT-IDCT chain at the fresh clock ({width}x{height} frame)\n"
     );
-    let mut table = crate::Table::new(&["condition", "PSNR [dB]", "MAC error rate", "paper PSNR"]);
+    let mut table =
+        crate::Table::new(&["condition", "PSNR [dB]", "MAC timing errors", "paper PSNR"]);
     let conditions = [
         ("0y (no aging)", AgingScenario::Fresh, "45.0"),
         (
@@ -56,13 +57,15 @@ pub fn run(options: &Options) -> String {
         },
     );
     let mut measured = Vec::new();
+    let mut timing_errors = 0;
     for (label, paper, decoded, stats) in results {
         let quality = psnr(&frame, &decoded);
         measured.push(quality);
+        timing_errors += stats.timing_errors;
         table.row_owned(vec![
             label.to_owned(),
             format!("{quality:.1}"),
-            format!("{:.2}%", stats.error_rate() * 100.0),
+            format!("{} of {}", stats.timing_errors, stats.mac_ops),
             paper.to_owned(),
         ]);
         let file = format!("out/fig2_{}.pgm", label.replace([' ', '(', ')'], "_"));
@@ -77,22 +80,36 @@ pub fn run(options: &Options) -> String {
         "\ndecoded frames written to out/fig2_*.pgm; shape target: monotone collapse\n\
          from transparent quality to an unusable image as the chain ages."
     );
-    if measured.len() == 3 {
+    if let [fresh, one_year, ten_years] = measured[..] {
+        let collapse = fresh >= one_year && one_year >= ten_years && fresh > ten_years;
         let _ = writeln!(
             out,
             "monotone collapse: {}",
-            if measured[0] >= measured[1] && measured[1] >= measured[2] && measured[0] > measured[2] {
-                "yes"
-            } else {
-                "NO - investigate"
-            }
+            if collapse { "yes" } else { "NO - investigate" }
         );
-        let _ = writeln!(
-            out,
-            "note: in this substrate the collapse sets in between 1 and 10 years of\n\
-             balanced stress (the paper's netlists already fail within the first year);\n\
-             the 10-year image matches the paper's unusable result."
-        );
+        let _ = writeln!(out, "{}", note(fresh, ten_years, collapse, timing_errors));
     }
     out
+}
+
+/// The closing note, derived from the measured PSNRs and the total MAC
+/// timing errors over all three conditions.
+fn note(fresh: f64, ten_years: f64, collapse: bool, timing_errors: u64) -> String {
+    if collapse {
+        format!(
+            "note: PSNR falls by {:.1} dB from the fresh chain to 10 years of balanced\n\
+             stress (paper: 45.0 -> 8.4 dB).",
+            fresh - ten_years
+        )
+    } else if timing_errors == 0 {
+        "note: no MAC latched a wrong value in any condition, so every condition\n\
+         decodes the same image; the paper's collapse to an unusable image does\n\
+         not reproduce on this chain at this frame size."
+            .to_owned()
+    } else {
+        format!(
+            "note: {timing_errors} MAC timing error(s) left PSNR without a monotone\n\
+             collapse; the paper's unusable 10-year image does not reproduce here."
+        )
+    }
 }

@@ -2,7 +2,7 @@
 
 use aix_aging::{AgingModel, AgingScenario, CombinedAgingModel, Lifetime, StressPair};
 use aix_cells::DegradationAwareLibrary;
-use aix_netlist::{NetDriver, Netlist};
+use aix_netlist::{Gate, NetDriver, Netlist};
 
 /// Where each gate's stress comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +32,8 @@ impl StressSource {
 /// The delay of one output arc of `cell` driving `load_ff`, derated by the
 /// driving gate's aging `factor` (clamped to at least 1: aging never speeds
 /// a gate up). The one per-net formula behind [`NetDelays::fresh`],
-/// [`NetDelays::aged`] and the incremental timer.
+/// [`NetDelays::aged`], [`NetDelays::aged_combined`] and the incremental
+/// timer.
 pub(crate) fn arc_delay_ps(cell: &aix_cells::Cell, load_ff: f64, factor: f64) -> f64 {
     cell.aged_delay_ps(load_ff, factor.max(1.0))
 }
@@ -51,7 +52,7 @@ pub struct NetDelays {
 impl NetDelays {
     /// Fresh (design-time) delays: the synthesis-library view.
     pub fn fresh(netlist: &Netlist) -> Self {
-        Self::build(netlist, &netlist.net_loads_ff(), |_gate_index, _cell| 1.0)
+        Self::build(netlist, &netlist.net_loads_ff(), |_, _| 1.0)
     }
 
     /// Delays under a uniform aging scenario evaluated analytically from
@@ -79,9 +80,17 @@ impl NetDelays {
     ) -> Self {
         // `build` applies the cell's BTI sensitivity via `aged_delay_ps`;
         // the closure supplies the raw physics factor.
-        Self::build(netlist, &netlist.net_loads_ff(), |gate_index, _cell| {
-            model.pair_delay_factor(stress.pair_for(gate_index), lifetime)
-        })
+        let loads = netlist.net_loads_ff();
+        match stress {
+            // Every gate shares one pair, so the physics is evaluated once.
+            StressSource::Uniform(pair) => {
+                let factor = model.pair_delay_factor(*pair, lifetime);
+                Self::build(netlist, &loads, |_, _| factor)
+            }
+            StressSource::PerGate(pairs) => Self::build(netlist, &loads, |gate_index, _| {
+                model.pair_delay_factor(pairs[gate_index], lifetime)
+            }),
+        }
     }
 
     /// Delays under the combined BTI + HCI model: duty-cycle stress per
@@ -103,24 +112,14 @@ impl NetDelays {
             toggle_rates.len() >= netlist.net_count(),
             "toggle rates must cover every net"
         );
-        let mut delays = vec![0.0; netlist.net_count()];
-        let loads = netlist.net_loads_ff();
-        for (id, net) in netlist.nets() {
-            if let NetDriver::Gate { gate, .. } = net.driver {
-                let g = netlist.gate(gate);
-                let cell = netlist.library().cell(g.cell);
-                let rate = g
-                    .outputs
-                    .iter()
-                    .map(|n| toggle_rates[n.index()])
-                    .fold(0.0f64, f64::max);
-                let base =
-                    model.delay_factor(stress.pair_for(gate.index()), rate, lifetime);
-                delays[id.index()] =
-                    cell.aged_delay_ps(loads[id.index()], base.max(1.0));
-            }
-        }
-        Self { delays_ps: delays }
+        Self::build(netlist, &netlist.net_loads_ff(), |gate_index, gate| {
+            let rate = gate
+                .outputs
+                .iter()
+                .map(|n| toggle_rates[n.index()])
+                .fold(0.0f64, f64::max);
+            model.delay_factor(stress.pair_for(gate_index), rate, lifetime)
+        })
     }
 
     /// Delays looked up from pre-generated degradation tables — the exact
@@ -145,19 +144,18 @@ impl NetDelays {
     }
 
     /// Derives every gate-driven net's delay from its per-net `loads` and
-    /// its driver's `factor`.
+    /// its driver's `factor(gate_index, gate)`.
     pub(crate) fn build(
         netlist: &Netlist,
         loads: &[f64],
-        factor: impl Fn(usize, &aix_cells::Cell) -> f64,
+        factor: impl Fn(usize, &Gate) -> f64,
     ) -> Self {
         let mut delays = vec![0.0; netlist.net_count()];
         for (id, net) in netlist.nets() {
             if let NetDriver::Gate { gate, .. } = net.driver {
                 let g = netlist.gate(gate);
                 let cell = netlist.library().cell(g.cell);
-                delays[id.index()] =
-                    arc_delay_ps(cell, loads[id.index()], factor(gate.index(), cell));
+                delays[id.index()] = arc_delay_ps(cell, loads[id.index()], factor(gate.index(), g));
             }
         }
         Self { delays_ps: delays }
@@ -206,6 +204,7 @@ mod tests {
     use aix_aging::StressFactor;
     use aix_arith::{build_adder, AdderKind, ComponentSpec};
     use aix_cells::Library;
+    use aix_obs::{fnv1a, FNV_OFFSET};
     use std::sync::Arc;
 
     fn adder() -> aix_netlist::Netlist {
@@ -304,6 +303,34 @@ mod tests {
                 assert!(busy.of(i) > idle.of(i), "toggling gates age faster");
             }
         }
+    }
+
+    /// Pins every bit of a combined BTI + HCI annotation of a carry-select
+    /// adder-16 under varied per-gate stress and per-net toggle rates. The
+    /// digest was recorded while `aged_combined` still ran its own per-net
+    /// loop, before it moved onto `build`, and must never drift.
+    #[test]
+    fn combined_model_delays_match_their_pinned_bits() {
+        let lib = Arc::new(Library::nangate45_like());
+        let nl = build_adder(&lib, AdderKind::CarrySelect, ComponentSpec::full(16)).unwrap();
+        let level = |i: usize| StressFactor::new((i % 5) as f64 / 4.0).unwrap();
+        let stress = StressSource::PerGate(
+            (0..nl.gate_count())
+                .map(|g| StressPair::new(level(g), level(g / 3 + 1)))
+                .collect(),
+        );
+        let toggle_rates: Vec<f64> = (0..nl.net_count()).map(|n| (n % 7) as f64 / 4.0).collect();
+        let delays = NetDelays::aged_combined(
+            &nl,
+            &CombinedAgingModel::calibrated(),
+            &stress,
+            &toggle_rates,
+            Lifetime::YEARS_10,
+        );
+        let digest = delays.as_slice().iter().fold(FNV_OFFSET, |hash, d| {
+            fnv1a(hash, &d.to_bits().to_le_bytes())
+        });
+        assert_eq!(digest, 0x352e_e920_5fa9_79b4);
     }
 
     #[test]
