@@ -114,8 +114,10 @@ pub fn run(options: &Options) -> String {
     out.push_str(&table.render());
     let _ = writeln!(
         out,
-        "\nexpected shape: packed 9-10x scalar on adder-32 and 24-28x on\n\
-         multiplier-32 (>= 4x on constrained CI runners); both engines\n\
+        "\nexpected shape: packed throughput includes the pool's workers\n\
+         (AIX_JOBS, else every core): on 2 cores packed is 10-15x scalar on\n\
+         adder-32 and 35-52x on multiplier-32, on one worker 9-10x and\n\
+         27-35x (>= 4x on constrained CI runners); both engines\n\
          byte-identical (`yes`) per vector. Records appended to {}.",
         bench_path.display()
     );

@@ -81,7 +81,7 @@ use aix_arith::ComponentSpec;
 use aix_cells::Library;
 use aix_faults::{FaultPlan, FaultStage};
 use aix_netlist::Netlist;
-use aix_obs::{fnv1a, FNV_OFFSET};
+use aix_obs::{fnv1a, parallel_map, FNV_OFFSET};
 use aix_sta::{analyze, NetDelays};
 use aix_synth::Effort;
 use std::collections::{BTreeMap, HashMap};
@@ -89,7 +89,6 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -247,17 +246,7 @@ impl EngineOptions {
     /// The effective worker count: an explicit `jobs`, else `AIX_JOBS`,
     /// else the machine's available parallelism.
     pub fn resolved_jobs(&self) -> usize {
-        if self.jobs > 0 {
-            return self.jobs;
-        }
-        if let Some(jobs) = std::env::var("AIX_JOBS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&j| j > 0)
-        {
-            return jobs;
-        }
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        aix_obs::resolve_jobs(self.jobs)
     }
 }
 
@@ -352,78 +341,6 @@ pub fn default_journal_dir() -> PathBuf {
 /// The default path of the machine-readable characterization benchmark log.
 pub fn default_bench_json_path() -> PathBuf {
     PathBuf::from("out/BENCH_characterize.json")
-}
-
-/// Runs `run` over `items` on up to `jobs` scoped worker threads and
-/// returns the results *in item order*, regardless of which worker finished
-/// first. Workers self-schedule from a shared index (work stealing over a
-/// common queue), so an expensive item does not serialize the rest.
-///
-/// With `jobs <= 1` (or a single item) everything runs inline on the
-/// calling thread — no spawn overhead for the sequential case.
-///
-/// A worker that observes a poisoned slot mutex recovers the value: slot
-/// contents are plain `Option` moves, valid regardless of where a sibling
-/// worker panicked, so one crashing job must not cascade into the others.
-///
-/// # Panics
-///
-/// Propagates panics from `run` once all workers have stopped.
-pub fn parallel_map<T, R, F>(jobs: usize, items: Vec<T>, run: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = jobs.max(1).min(items.len());
-    if workers <= 1 {
-        return items.into_iter().map(run).collect();
-    }
-    let queue: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let slots: Vec<Mutex<Option<R>>> = queue.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= queue.len() {
-                        break;
-                    }
-                    let item = queue[index]
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .take()
-                        .expect("each item is claimed exactly once");
-                    *slots[index]
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(run(item));
-                })
-            })
-            .collect();
-        // Join every worker explicitly: the scope's implicit join returns
-        // once the closures finish, before the threads have exited and
-        // handed their malloc arenas back. A pool spawned right after would
-        // then find no free arena and create another, and each extra arena
-        // keeps megabytes of freed memory resident.
-        let mut panic = None;
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                panic.get_or_insert(payload);
-            }
-        }
-        if let Some(payload) = panic {
-            std::panic::resume_unwind(payload);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .expect("every item was processed")
-        })
-        .collect()
 }
 
 /// Thread-safe memoization of synthesized netlists, keyed by
@@ -1357,40 +1274,6 @@ mod tests {
 
     fn cells() -> Arc<Library> {
         Arc::new(Library::nangate45_like())
-    }
-
-    #[test]
-    fn parallel_map_preserves_item_order() {
-        for jobs in [1, 2, 4, 9] {
-            let doubled = parallel_map(jobs, (0..50).collect(), |x: i32| x * 2);
-            assert_eq!(doubled, (0..50).map(|x| x * 2).collect::<Vec<_>>());
-        }
-        let empty: Vec<i32> = parallel_map(4, Vec::new(), |x: i32| x);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn parallel_map_propagates_a_worker_panic_after_all_workers_stop() {
-        let finished = AtomicUsize::new(0);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map(2, (0..20).collect(), |x: i32| {
-                if x == 3 {
-                    panic!("job {x} failed");
-                }
-                finished.fetch_add(1, Ordering::Relaxed);
-                x
-            })
-        }));
-        let payload = outcome.expect_err("the job panic propagates");
-        assert_eq!(
-            payload.downcast_ref::<String>().map(String::as_str),
-            Some("job 3 failed")
-        );
-        assert_eq!(
-            finished.load(Ordering::Relaxed),
-            19,
-            "the other worker drains the queue"
-        );
     }
 
     #[test]

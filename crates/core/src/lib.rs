@@ -69,9 +69,10 @@ pub use characterize::{
 pub use component::{ComponentKind, ParseComponentKindError};
 pub use engine::{
     append_bench_json, append_bench_record, default_bench_json_path, default_cache_dir,
-    default_journal_dir, parallel_map, Campaign, CampaignStatus, CharacterizationEngine,
+    default_journal_dir, Campaign, CampaignStatus, CharacterizationEngine,
     EngineOptions, EngineReport, JobFailure, NetlistCache, FAULT_GRAMMAR,
 };
+pub use aix_obs::{parallel_map, resolve_jobs};
 pub use error::AixError;
 pub use guard::{decorrelated_backoff_ms, panic_message};
 pub use idct::{idct_design, IDCT_BLOCK_NAMES};

@@ -3,7 +3,8 @@
 //! crash-safe JSON-lines event trace, behind a global [`Recorder`] whose
 //! default is a no-op. As the workspace's dependency-free leaf it also
 //! hosts [`fnv1a`], the FNV-1a content hash behind the cache keys,
-//! journal keys and seeded decisions of the other crates.
+//! journal keys and seeded decisions of the other crates, and
+//! [`parallel_map`], the one worker pool they all fan out on.
 //!
 //! # Design
 //!
@@ -43,6 +44,7 @@ mod fnv;
 mod json;
 mod metrics;
 pub mod names;
+mod pool;
 mod span;
 mod summary;
 
@@ -50,6 +52,7 @@ pub use event::{Event, EventError, EventKind, TRACE_SCHEMA};
 pub use fnv::{fnv1a, FNV_OFFSET};
 pub use json::{parse_object, render_object, JsonError, Value};
 pub use metrics::{Histogram, MetricsSnapshot, HISTOGRAM_BUCKETS};
+pub use pool::{in_pool_worker, parallel_map, resolve_jobs};
 pub use span::SpanGuard;
 pub use summary::{StageSummary, SummaryError, TraceSummary};
 

@@ -42,6 +42,7 @@ use aix_netlist::{Netlist, NetlistError};
 use aix_sta::NetDelays;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// End-of-list link in the calendar's event pool.
 const NIL: u32 = u32::MAX;
@@ -49,8 +50,8 @@ const NIL: u32 = u32::MAX;
 /// Smallest ring: one occupancy word of 64 slots.
 const MIN_RING_BITS: u32 = 6;
 
-/// Largest ring: 2¹⁷ slots (1 MiB of slot heads and tails) cover net
-/// delays up to 131 ps, above the largest aged and perturbed net delays
+/// Largest ring: 2¹⁷ slots (512 KiB of slot tails) cover net delays up
+/// to 131 ps, above the largest aged and perturbed net delays
 /// of the Fig. 1, Fig. 2 and `verify` netlists (86–97 ps). Longer
 /// delays take the overflow heap.
 const MAX_RING_BITS: u32 = 17;
@@ -72,9 +73,11 @@ struct EventGroup {
 }
 
 /// Timing-wheel event calendar: groups are pooled in one free-listed
-/// `Vec`, and each ring slot holds the head and tail of one tick's FIFO
-/// list. Every event in the ring lies in `[now, now + ring length)`, so a
-/// slot index identifies its tick; later events wait in `overflow`.
+/// `Vec`, and each ring slot holds one tick's FIFO list as a circular list
+/// named by its tail, whose `next` is the head. One word per slot keeps
+/// the ring at half the size of a head-and-tail pair. Every event in the
+/// ring lies in `[now, now + ring length)`, so a slot index identifies its
+/// tick; later events wait in `overflow`.
 ///
 /// Lists are FIFO because order can matter: a zero-delay input can
 /// re-evaluate a gate twice within one tick, queueing two groups for the
@@ -85,9 +88,9 @@ struct Calendar {
     now: u64,
     /// Ring length minus one (the ring length is a power of two).
     slot_mask: u64,
-    /// Per-slot `[head, tail]` into `pool`, meaningful only while the
-    /// slot's occupancy bit is set.
-    slots: Vec<[u32; 2]>,
+    /// Per-slot tail of the circular list in `pool`, meaningful only while
+    /// the slot's occupancy bit is set.
+    slots: Vec<u32>,
     /// Bit *s* is set while slot *s* holds groups.
     occupied: Vec<u64>,
     /// Bit *w* is set while `occupied[w]` is non-zero.
@@ -116,7 +119,7 @@ impl Calendar {
         Self {
             now: 0,
             slot_mask: ring as u64 - 1,
-            slots: vec![[0; 2]; ring],
+            slots: vec![0; ring],
             occupied: vec![0; words],
             summary: vec![0; words.div_ceil(64)],
             pool: Vec::new(),
@@ -164,18 +167,20 @@ impl Calendar {
     }
 
     /// Links pool entry `index` at the tail of `time`'s slot.
+    #[inline(always)]
     fn append(&mut self, time: u64, index: u32) {
         let slot = (time & self.slot_mask) as usize;
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         if self.occupied[word] & bit == 0 {
             self.occupied[word] |= bit;
             self.summary[word / 64] |= 1u64 << (word % 64);
-            self.slots[slot] = [index, index];
+            self.pool[index as usize].next = index;
         } else {
-            let tail = self.slots[slot][1];
-            self.pool[tail as usize].next = index;
-            self.slots[slot][1] = index;
+            let tail = self.slots[slot] as usize;
+            self.pool[index as usize].next = self.pool[tail].next;
+            self.pool[tail].next = index;
         }
+        self.slots[slot] = index;
     }
 
     /// First occupied slot at or after `from`, without wrapping.
@@ -234,7 +239,11 @@ impl Calendar {
         if self.occupied[word] == 0 {
             self.summary[word / 64] &= !(1u64 << (word % 64));
         }
-        Some((next, self.slots[slot][0]))
+        // Open the circle: the tail ends the detached list.
+        let tail = self.slots[slot] as usize;
+        let head = self.pool[tail].next;
+        self.pool[tail].next = NIL;
+        Some((next, head))
     }
 
     /// Returns pool entry `index` to the free list and hands back its
@@ -348,6 +357,100 @@ impl PackedStepOutcome {
     }
 }
 
+/// The immutable per-netlist tables of the packed timed engine: gate
+/// functions, levels and connectivity, quantized net delays and the
+/// fanout. Built once per (netlist, delays) and shared through an [`Arc`]
+/// by every simulator of one measurement, so extra simulators cost only
+/// their mutable state.
+#[derive(Debug)]
+pub(crate) struct TimedTables {
+    /// Per-gate function, flattened for cache-friendly dispatch.
+    functions: Vec<CellFunction>,
+    /// Per-gate topological level, flattened from the [`Schedule`].
+    gate_level: Vec<u32>,
+    level_count: usize,
+    /// Flattened gate connectivity: gate *g* reads the nets
+    /// `gate_inputs[input_offsets[g]..input_offsets[g + 1]]` and drives
+    /// `gate_outputs[output_offsets[g]..output_offsets[g + 1]]`.
+    gate_inputs: Vec<u32>,
+    input_offsets: Vec<u32>,
+    gate_outputs: Vec<u32>,
+    output_offsets: Vec<u32>,
+    /// Per-net transport delay in ticks.
+    delays_ticks: Vec<u64>,
+    /// Per-net fanout gate ids in CSR form: net *n* feeds the gates
+    /// `fanout[fanout_offsets[n]..fanout_offsets[n + 1]]`, one entry per
+    /// input pin, in gate order.
+    fanout_offsets: Vec<u32>,
+    fanout: Vec<u32>,
+}
+
+impl TimedTables {
+    /// Validates and quantizes `delays` exactly like
+    /// [`crate::TimedSimulator::new`] and flattens `netlist`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists and
+    /// [`NetlistError::InvalidDelay`] for NaN/negative/non-finite delays.
+    pub(crate) fn new(netlist: &Netlist, delays: &NetDelays) -> Result<Self, NetlistError> {
+        let delays_ticks = quantize_delays(delays)?;
+        let schedule = netlist.schedule()?;
+        let functions: Vec<CellFunction> = netlist
+            .gates()
+            .map(|(_, g)| netlist.library().cell(g.cell).function)
+            .collect();
+        let mut gate_level = Vec::with_capacity(netlist.gate_count());
+        let mut gate_inputs = Vec::new();
+        let mut input_offsets = Vec::with_capacity(netlist.gate_count() + 1);
+        let mut gate_outputs = Vec::new();
+        let mut output_offsets = Vec::with_capacity(netlist.gate_count() + 1);
+        input_offsets.push(0);
+        output_offsets.push(0);
+        for (id, g) in netlist.gates() {
+            gate_level.push(schedule.level(id));
+            gate_inputs.extend(g.inputs.iter().map(|n| n.raw()));
+            input_offsets.push(gate_inputs.len() as u32);
+            gate_outputs.extend(g.outputs.iter().map(|n| n.raw()));
+            output_offsets.push(gate_outputs.len() as u32);
+        }
+        // Counting sort of the input pins by net keeps each net's sinks in
+        // gate order.
+        let mut fanout_offsets = vec![0u32; netlist.net_count() + 1];
+        for &net in &gate_inputs {
+            fanout_offsets[net as usize + 1] += 1;
+        }
+        for n in 0..netlist.net_count() {
+            fanout_offsets[n + 1] += fanout_offsets[n];
+        }
+        let mut cursor = fanout_offsets.clone();
+        let mut fanout = vec![0u32; gate_inputs.len()];
+        for gate in 0..netlist.gate_count() {
+            let pins = input_offsets[gate] as usize..input_offsets[gate + 1] as usize;
+            for &net in &gate_inputs[pins] {
+                fanout[cursor[net as usize] as usize] = gate as u32;
+                cursor[net as usize] += 1;
+            }
+        }
+        Ok(Self {
+            functions,
+            gate_level,
+            level_count: schedule.level_count() as usize,
+            gate_inputs,
+            input_offsets,
+            gate_outputs,
+            output_offsets,
+            delays_ticks,
+            fanout_offsets,
+            fanout,
+        })
+    }
+
+    fn fanout(&self, net: usize) -> &[u32] {
+        &self.fanout[self.fanout_offsets[net] as usize..self.fanout_offsets[net + 1] as usize]
+    }
+}
+
 /// Lane-parallel event-driven simulator with per-net transport delays on
 /// the femtosecond tick grid.
 ///
@@ -361,21 +464,7 @@ impl PackedStepOutcome {
 #[derive(Debug)]
 pub struct PackedTimedSimulator<'nl> {
     netlist: &'nl Netlist,
-    /// Per-gate function, flattened for cache-friendly dispatch.
-    functions: Vec<CellFunction>,
-    /// Per-gate topological level, flattened from the [`Schedule`].
-    gate_level: Vec<u32>,
-    /// Flattened gate connectivity: gate *g* reads the nets
-    /// `gate_inputs[input_offsets[g]..input_offsets[g + 1]]` and drives
-    /// `gate_outputs[output_offsets[g]..output_offsets[g + 1]]`.
-    gate_inputs: Vec<u32>,
-    input_offsets: Vec<u32>,
-    gate_outputs: Vec<u32>,
-    output_offsets: Vec<u32>,
-    /// Per-net transport delay in ticks.
-    delays_ticks: Vec<u64>,
-    /// Per-net fanout gate ids.
-    fanout: Vec<Vec<u32>>,
+    tables: Arc<TimedTables>,
     /// Current lane word of every net.
     values: Vec<u64>,
     /// Most recently scheduled lane word per net, for per-lane event
@@ -409,6 +498,9 @@ pub struct PackedTimedSimulator<'nl> {
     step_transitions: [u64; LANES],
     /// Event groups applied since construction (observability).
     groups_applied: u64,
+    /// Whether every step reports `groups_applied`; a simulator that runs
+    /// one chunk of a larger measurement leaves the report to its owner.
+    reports_steps: bool,
 }
 
 impl<'nl> PackedTimedSimulator<'nl> {
@@ -420,53 +512,43 @@ impl<'nl> PackedTimedSimulator<'nl> {
     /// Returns [`NetlistError::CombinationalCycle`] for cyclic netlists and
     /// [`NetlistError::InvalidDelay`] for NaN/negative/non-finite delays.
     pub fn new(netlist: &'nl Netlist, delays: &NetDelays) -> Result<Self, NetlistError> {
-        Self::with_max_ring_bits(netlist, delays, MAX_RING_BITS)
+        let tables = Arc::new(TimedTables::new(netlist, delays)?);
+        Self::from_tables(netlist, tables, MAX_RING_BITS, true)
+    }
+
+    /// A simulator over tables shared with other simulators of the same
+    /// measurement. It does not report its event groups per step: the
+    /// owner sums them over all its simulators
+    /// ([`groups_applied`](Self::groups_applied)) and reports once.
+    pub(crate) fn with_tables(
+        netlist: &'nl Netlist,
+        tables: Arc<TimedTables>,
+    ) -> Result<Self, NetlistError> {
+        Self::from_tables(netlist, tables, MAX_RING_BITS, false)
     }
 
     /// [`new`](Self::new) with the calendar ring capped at
     /// 2^`max_ring_bits` slots, so tests can push events past the horizon.
+    #[cfg(test)]
     fn with_max_ring_bits(
         netlist: &'nl Netlist,
         delays: &NetDelays,
         max_ring_bits: u32,
     ) -> Result<Self, NetlistError> {
-        let delays_ticks = quantize_delays(delays)?;
+        let tables = Arc::new(TimedTables::new(netlist, delays)?);
+        Self::from_tables(netlist, tables, max_ring_bits, true)
+    }
+
+    fn from_tables(
+        netlist: &'nl Netlist,
+        tables: Arc<TimedTables>,
+        max_ring_bits: u32,
+        reports_steps: bool,
+    ) -> Result<Self, NetlistError> {
         let golden = PackedEvaluator::new(netlist)?;
-        let schedule = netlist.schedule()?;
-        let functions: Vec<CellFunction> = netlist
-            .gates()
-            .map(|(_, g)| netlist.library().cell(g.cell).function)
-            .collect();
-        let mut gate_level = Vec::with_capacity(netlist.gate_count());
-        let mut gate_inputs = Vec::new();
-        let mut input_offsets = Vec::with_capacity(netlist.gate_count() + 1);
-        let mut gate_outputs = Vec::new();
-        let mut output_offsets = Vec::with_capacity(netlist.gate_count() + 1);
-        input_offsets.push(0);
-        output_offsets.push(0);
-        for (id, g) in netlist.gates() {
-            gate_level.push(schedule.level(id));
-            gate_inputs.extend(g.inputs.iter().map(|n| n.raw()));
-            input_offsets.push(gate_inputs.len() as u32);
-            gate_outputs.extend(g.outputs.iter().map(|n| n.raw()));
-            output_offsets.push(gate_outputs.len() as u32);
-        }
-        let fanout = netlist
-            .fanout()
-            .into_iter()
-            .map(|sinks| sinks.into_iter().map(|(g, _)| g.raw()).collect())
-            .collect();
-        let max_delay = delays_ticks.iter().copied().max().unwrap_or(0);
+        let max_delay = tables.delays_ticks.iter().copied().max().unwrap_or(0);
         Ok(Self {
             netlist,
-            functions,
-            gate_level,
-            gate_inputs,
-            input_offsets,
-            gate_outputs,
-            output_offsets,
-            delays_ticks,
-            fanout,
             values: vec![0; netlist.net_count()],
             scheduled: vec![0; netlist.net_count()],
             calendar: Calendar::new(max_delay, max_ring_bits),
@@ -476,14 +558,22 @@ impl<'nl> PackedTimedSimulator<'nl> {
             mode: None,
             stream_lanes: 0,
             started: false,
-            level_buckets: vec![Vec::new(); schedule.level_count() as usize],
+            level_buckets: vec![Vec::new(); tables.level_count],
             dirty_stamp: vec![0; netlist.gate_count()],
             dirty_epoch: 0,
             transition_counts: vec![0; netlist.net_count()],
             settle_ticks: [0; LANES],
             step_transitions: [0; LANES],
             groups_applied: 0,
+            reports_steps,
+            tables,
         })
+    }
+
+    /// Event groups this simulator applied since construction: the
+    /// engine's deterministic work counter.
+    pub(crate) fn groups_applied(&self) -> u64 {
+        self.groups_applied
     }
 
     /// Number of primary inputs expected per stimulus vector.
@@ -566,6 +656,40 @@ impl<'nl> PackedTimedSimulator<'nl> {
             *prev = (w >> (lanes - 1)) & 1;
         }
         Ok(outcome)
+    }
+
+    /// Starts stream-batch mode in the middle of a stream: the next
+    /// [`step_stream_batch`](Self::step_stream_batch) continues a stream
+    /// whose previous vector was `previous`, so its lane 0 starts from that
+    /// vector's settled state instead of taking the untimed first step.
+    ///
+    /// A stream batch carries nothing else across its boundary — the
+    /// calendar is empty after every step, and every net starts from the
+    /// settled state of the vector one lane earlier — so a stream cut
+    /// anywhere and resumed on a primed simulator reproduces, lane by lane,
+    /// the outcomes and summed transition counts of one continuous run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates width mismatches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this simulator already ran in
+    /// [`step_streams`](Self::step_streams) mode.
+    pub fn prime_stream(&mut self, previous: &[bool]) -> Result<(), NetlistError> {
+        assert_ne!(
+            self.mode,
+            Some(Mode::Streams),
+            "one PackedTimedSimulator cannot mix stream-batch and streams modes"
+        );
+        self.mode = Some(Mode::StreamBatch);
+        self.golden.eval_batch(&[previous.to_vec()])?;
+        for (prev, &w) in self.prev_bits.iter_mut().zip(self.golden.net_words()) {
+            *prev = w & 1;
+        }
+        self.started = true;
+        Ok(())
     }
 
     /// Simulates one clock cycle of up to 64 *independent* streams: lane
@@ -665,21 +789,21 @@ impl<'nl> PackedTimedSimulator<'nl> {
     /// changes one per-net delay later. Lanes whose inputs did not change
     /// recompute their already-scheduled value and are suppressed, so extra
     /// lane evaluations are no-ops — the key to scalar equivalence.
-    fn evaluate_gate(&mut self, gate: u32, now: u64, active_mask: u64) {
+    fn evaluate_gate(&mut self, tables: &TimedTables, gate: u32, now: u64, active_mask: u64) {
         let g = gate as usize;
-        let function = self.functions[g];
-        let in_range = self.input_offsets[g] as usize..self.input_offsets[g + 1] as usize;
-        let inputs = &self.gate_inputs[in_range];
+        let function = tables.functions[g];
+        let in_range = tables.input_offsets[g] as usize..tables.input_offsets[g + 1] as usize;
+        let inputs = &tables.gate_inputs[in_range];
         let mut in_buf = [0u64; MAX_INPUTS];
         for (slot, &net) in in_buf.iter_mut().zip(inputs) {
             *slot = self.values[net as usize];
         }
         let mut out_buf = [0u64; MAX_OUTPUTS];
         function.eval_words(&in_buf[..inputs.len()], &mut out_buf);
-        let out_range = self.output_offsets[g] as usize..self.output_offsets[g + 1] as usize;
+        let out_range = tables.output_offsets[g] as usize..tables.output_offsets[g + 1] as usize;
         for (pin, out_idx) in out_range.enumerate() {
-            let out_net = self.gate_outputs[out_idx];
-            let delay = self.delays_ticks[out_net as usize];
+            let out_net = tables.gate_outputs[out_idx];
+            let delay = tables.delays_ticks[out_net as usize];
             self.schedule_event(
                 out_net,
                 out_buf[pin],
@@ -692,6 +816,8 @@ impl<'nl> PackedTimedSimulator<'nl> {
     /// Drains the event calendar, sampling outputs at `clock_ticks` with
     /// the same edge-exclusive rule as the scalar engine.
     fn run(&mut self, clock_ticks: u64, active_mask: u64, lanes: usize) -> PackedStepOutcome {
+        let tables = Arc::clone(&self.tables);
+        let tables = &*tables;
         self.settle_ticks[..lanes].fill(0);
         let mut sampled: Option<Vec<u64>> = None;
         // Per-lane transition totals as bit-sliced vertical counters:
@@ -734,10 +860,10 @@ impl<'nl> PackedTimedSimulator<'nl> {
                     carry = next;
                 }
                 debug_assert_eq!(carry, 0, "per-lane transition count overflow");
-                for &gate in &self.fanout[net] {
+                for &gate in tables.fanout(net) {
                     if self.dirty_stamp[gate as usize] != epoch {
                         self.dirty_stamp[gate as usize] = epoch;
-                        let level = self.gate_level[gate as usize] as usize;
+                        let level = tables.gate_level[gate as usize] as usize;
                         self.level_buckets[level].push(gate);
                         low_level = low_level.min(level);
                         high_level = high_level.max(level);
@@ -763,7 +889,7 @@ impl<'nl> PackedTimedSimulator<'nl> {
             let mut buckets = std::mem::take(&mut self.level_buckets);
             for bucket in &mut buckets[low_level..=high_level] {
                 for &gate in bucket.iter() {
-                    self.evaluate_gate(gate, now, active_mask);
+                    self.evaluate_gate(tables, gate, now, active_mask);
                 }
                 bucket.clear();
             }
@@ -782,11 +908,13 @@ impl<'nl> PackedTimedSimulator<'nl> {
         for (&s, &g) in sampled.iter().zip(&settled) {
             error_lanes |= (s ^ g) & active_mask;
         }
-        aix_obs::count!(
-            aix_obs::names::sim::TIMED_EVENT_GROUPS,
-            groups = self.groups_applied,
-            lanes = lanes
-        );
+        if self.reports_steps {
+            aix_obs::count!(
+                aix_obs::names::sim::TIMED_EVENT_GROUPS,
+                groups = self.groups_applied,
+                lanes = lanes
+            );
+        }
         PackedStepOutcome {
             lanes,
             sampled_words: sampled,
@@ -1217,5 +1345,106 @@ mod tests {
         };
         assert_eq!(count(&adder(AdderKind::KoggeStone, 32), 32), 6950);
         assert_eq!(count(&multiplier(16), 16), 16424);
+    }
+
+    #[test]
+    fn many_groups_share_a_slot_across_a_ring_wrap() {
+        // Slot 5 serves tick 5, then tick R + 5 once the cursor passes
+        // R − 1, then tick 2R + 5 for groups that waited in the overflow
+        // heap; each list keeps its own FIFO order, and zero-delay
+        // reinserts while a list drains start a fresh list in the slot.
+        let mut calendar = Calendar::new(0, MIN_RING_BITS);
+        let ring = calendar.slot_mask + 1;
+        for net in 0..200 {
+            calendar.schedule(5, net, 0, 1);
+        }
+        calendar.schedule(ring - 1, 999, 0, 1);
+        let (tick, link) = calendar.pop().unwrap();
+        assert_eq!(tick, 5);
+        let mut nets = Vec::new();
+        let mut link = link;
+        while link != NIL {
+            let group = calendar.release(link);
+            nets.push(group.net);
+            link = group.next;
+        }
+        assert_eq!(nets, (0..200).collect::<Vec<_>>());
+        let (tick, link) = calendar.pop().unwrap();
+        assert_eq!((tick, calendar.release(link).net), (ring - 1, 999));
+        for net in 1000..1300 {
+            calendar.schedule(ring + 5, net, 0, 1);
+            calendar.schedule(2 * ring + 5, net + 1000, 0, 1);
+        }
+        let (tick, mut link) = calendar.pop().unwrap();
+        assert_eq!(tick, ring + 5);
+        let mut nets = Vec::new();
+        while link != NIL {
+            let group = calendar.release(link);
+            nets.push(group.net);
+            link = group.next;
+            if group.net < 1100 {
+                calendar.schedule(ring + 5, group.net + 3000, 0, 1);
+            }
+        }
+        assert_eq!(nets, (1000..1300).collect::<Vec<_>>());
+        assert_eq!(
+            drain(&mut calendar),
+            vec![
+                (ring + 5, (4000..4100).collect()),
+                (2 * ring + 5, (2000..2300).collect()),
+            ]
+        );
+        assert!(calendar.is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// A stream cut at arbitrary vectors and resumed on primed
+        /// simulators over shared tables reproduces one continuous
+        /// stream: every lane outcome, and the summed per-net transition
+        /// counts.
+        #[test]
+        fn primed_chunks_reproduce_one_continuous_stream(
+            seed in 0u64..1_000,
+            count in 1usize..400,
+            cuts in proptest::collection::vec(0usize..400, 0..6),
+            aged in proptest::prelude::any::<bool>(),
+        ) {
+            let nl = multiplier(4);
+            let fresh = NetDelays::fresh(&nl);
+            let clock = analyze(&nl, &fresh).unwrap().max_delay_ps() * 0.8;
+            let delays = if aged { aged_10y_worst(&nl) } else { fresh };
+            let vectors: Vec<Vec<bool>> = UniformOperands::new(4, seed).vectors(count).collect();
+            let mut continuous = PackedTimedSimulator::new(&nl, &delays).unwrap();
+            let mut expected = Vec::new();
+            for batch in vectors.chunks(LANES) {
+                let out = continuous.step_stream_batch(batch, clock).unwrap();
+                expected.extend((0..batch.len()).map(|lane| out.outcome_for_lane(lane)));
+            }
+
+            let mut bounds: Vec<usize> = cuts.into_iter().filter(|&c| c < count).collect();
+            bounds.extend([0, count]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let tables = Arc::new(TimedTables::new(&nl, &delays).unwrap());
+            let mut totals = vec![0u64; nl.net_count()];
+            let mut outcomes = Vec::new();
+            for pair in bounds.windows(2) {
+                let mut sim = PackedTimedSimulator::with_tables(&nl, Arc::clone(&tables)).unwrap();
+                if pair[0] > 0 {
+                    sim.prime_stream(&vectors[pair[0] - 1]).unwrap();
+                }
+                for batch in vectors[pair[0]..pair[1]].chunks(LANES) {
+                    let out = sim.step_stream_batch(batch, clock).unwrap();
+                    outcomes.extend((0..batch.len()).map(|lane| out.outcome_for_lane(lane)));
+                }
+                for (total, &c) in totals.iter_mut().zip(sim.transition_counts()) {
+                    *total += c;
+                }
+            }
+            proptest::prop_assert_eq!(outcomes, expected);
+            proptest::prop_assert_eq!(&totals[..], continuous.transition_counts());
+        }
     }
 }
